@@ -1,16 +1,30 @@
 """Exact rational sparse linear algebra: rank, kernel, span membership.
 
 Everything is over Q with arbitrary-precision arithmetic; no floats anywhere.
-Rows are cleared to integers and kept gcd-reduced during elimination, which
-controls coefficient growth without leaving exact arithmetic.  Pivots are
-chosen as the smallest bit-size entry of the current column, ties broken by
-row index, so runs are deterministic.
+All elimination goes through one row-major, fraction-free kernel, the pivot
+rows of an ``IncrementalSpan``:
+
+- Rows are primitive integer rows: denominators cleared, content divided out.
+- Pivot rows are kept in insertion order, keyed by pivot column, and each one
+  is zero at every earlier pivot column.  So a new row is reduced in one pass,
+  in insertion order, against the pivots whose columns it touches; fill-in
+  can only add later pivot columns.
+- A reduction step updates the row in place, ``row = (p/g)*row - (q/g)*piv``
+  with ``g = gcd(p, q)``, and then divides out the row's content.
+- The pivot column of a new row is the column that the fewest pivot rows
+  touch (a Markowitz column count, as in structured Gaussian elimination),
+  ties going to the smallest column.  This limits fill-in and keeps runs
+  deterministic.
+
+``rank``, ``rref``/``kernel_basis`` and the ``span_*`` helpers are thin
+wrappers over the kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 
 class QMatrix:
@@ -22,15 +36,18 @@ class QMatrix:
     """
 
     def __init__(self, rows: int, cols: int):
-        assert rows >= 0 and cols >= 0
+        if rows < 0 or cols < 0:
+            raise ValueError(f"negative matrix shape {rows}x{cols}")
         self.rows = rows
         self.cols = cols
         self.entries: dict[tuple[int, int], Fraction] = {}
         self._frozen = False
 
     def set(self, r: int, c: int, value) -> None:
-        assert not self._frozen, "matrix is frozen"
-        assert 0 <= r < self.rows and 0 <= c < self.cols
+        if self._frozen:
+            raise ValueError("matrix is frozen")
+        if not (0 <= r < self.rows and 0 <= c < self.cols):
+            raise ValueError(f"entry ({r}, {c}) outside a {self.rows}x{self.cols} matrix")
         value = Fraction(value)
         if value:
             self.entries[(r, c)] = value
@@ -48,7 +65,8 @@ class QMatrix:
             cols = len(rows[0]) if rows else 0
         m = cls(len(rows), cols)
         for i, row in enumerate(rows):
-            assert len(row) == cols, "ragged rows"
+            if len(row) != cols:
+                raise ValueError("ragged rows")
             for j, v in enumerate(row):
                 m.set(i, j, v)
         return m.freeze()
@@ -63,100 +81,147 @@ class QMatrix:
         return f"QMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
 
 
-def _int_rows(rows) -> list[dict[int, int]]:
-    """Clear denominators and divide by content, keeping rows integral."""
-    out = []
-    for row in rows:
-        if not row:
-            continue
-        denom = 1
-        for v in row.values():
-            f = Fraction(v)
-            denom = denom * f.denominator // gcd(denom, f.denominator)
-        ints = {c: int(Fraction(v) * denom) for c, v in row.items()}
-        g = 0
-        for v in ints.values():
-            g = gcd(g, v)
-        if g > 1:
-            ints = {c: v // g for c, v in ints.items()}
-        out.append(ints)
-    return out
-
-
-def _reduce_content(row: dict[int, int]) -> dict[int, int]:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return row
-    if g > 1:
-        return {c: v // g for c, v in row.items()}
+def _int_row(vector) -> dict[int, int]:
+    """Primitive integer row of a rational vector, dense or ``{col: value}``."""
+    items = vector.items() if isinstance(vector, dict) else enumerate(vector)
+    row = {c: Fraction(v) for c, v in items if v}
+    denom = lcm(*(v.denominator for v in row.values()))
+    row = {c: v.numerator * (denom // v.denominator) for c, v in row.items()}
+    _remove_content(row)
     return row
 
 
-def _echelon(rows, cols: int):
-    """Integer echelon form; returns (pivot rows, pivot columns, in order).
+def _remove_content(row: dict[int, int]) -> None:
+    g = gcd(*row.values())
+    if g > 1:
+        for c in row:
+            row[c] //= g
 
-    Column-major elimination.  In each column the pivot is the candidate row
-    whose entry has the fewest bits (ties by position in the current list).
+
+def matvec(m: QMatrix, v) -> list[Fraction]:
+    out = [Fraction(0)] * m.rows
+    for (r, c), val in m.entries.items():
+        if v[c]:
+            out[r] += val * v[c]
+    return out
+
+
+class IncrementalSpan:
+    """Grow a row space one vector at a time, tracking its dimension.
+
+    ``add`` reduces the vector against the pivot rows and returns True when
+    it enlarged the span.  Used for orbit-span computations where early
+    termination at a known target rank saves a lot of work.  ``pivots`` maps
+    each pivot column to its primitive integer row, newest last.
     """
-    work = _int_rows(rows)
-    pivot_rows: list[dict[int, int]] = []
-    pivot_cols: list[int] = []
-    for col in range(cols):
-        best = None
-        for idx, row in enumerate(work):
-            v = row.get(col)
-            if v:
-                key = (abs(v).bit_length(), idx)
-                if best is None or key < best[0]:
-                    best = (key, idx)
-        if best is None:
-            continue
-        idx = best[1]
-        piv = work.pop(idx)
-        p = piv[col]
-        nxt = []
-        for row in work:
+
+    def __init__(self, cols: int):
+        self.cols = cols
+        self.pivots: dict[int, dict[int, int]] = {}
+        self._index: dict[int, int] = {}  # pivot column -> insertion position
+        self._uses: dict[int, int] = {}  # column -> pivot rows nonzero there
+
+    @property
+    def dim(self) -> int:
+        return len(self.pivots)
+
+    def _reduce(self, row: dict[int, int]) -> dict[int, int]:
+        """Reduce a primitive integer row in place; zero at every pivot column.
+
+        A heap of insertion positions yields the pivots the row touches.
+        """
+        pivots, index = self.pivots, self._index
+        todo = [(index[c], c) for c in row.keys() & index.keys()]
+        heapify(todo)
+        while todo:
+            col = heappop(todo)[1]
             q = row.get(col)
-            if q:
-                row = {c: p * row.get(c, 0) - q * piv.get(c, 0)
-                       for c in set(row) | set(piv)}
-                row = {c: v for c, v in row.items() if v}
-                if row:
-                    row = _reduce_content(row)
-                    nxt.append(row)
-            else:
-                nxt.append(row)
-        work = nxt
-        pivot_rows.append(piv)
-        pivot_cols.append(col)
-    return pivot_rows, pivot_cols
+            if not q:
+                continue
+            piv = pivots[col]
+            p = piv[col]
+            g = gcd(p, q)
+            p //= g
+            q //= g
+            if p != 1:
+                for c in row:
+                    row[c] *= p
+            for c, v in piv.items():
+                w = row.get(c)
+                if w is None:
+                    row[c] = -q * v
+                    if c in index:
+                        heappush(todo, (index[c], c))
+                else:
+                    w -= q * v
+                    if w:
+                        row[c] = w
+                    else:
+                        del row[c]
+            if not row:
+                break
+            _remove_content(row)
+        return row
+
+    def _insert(self, row: dict[int, int]) -> bool:
+        """Reduce a primitive integer row and keep it if it is not zero."""
+        row = self._reduce(row)
+        if not row:
+            return False
+        uses = self._uses
+        col = min(row, key=lambda c: (uses.get(c, 0), c))
+        # A fresh dict, with a positive pivot entry: in-place updates leave a
+        # row's table as large as the row ever grew.
+        sign = 1 if row[col] > 0 else -1
+        self._keep(col, {c: sign * v for c, v in row.items()})
+        return True
+
+    def _keep(self, col: int, row: dict[int, int]) -> None:
+        self._index[col] = len(self.pivots)
+        self.pivots[col] = row
+        uses = self._uses
+        for c in row:
+            uses[c] = uses.get(c, 0) + 1
+
+    def add(self, vector) -> bool:
+        return self._insert(_int_row(vector))
+
+    def contains(self, vector) -> bool:
+        return not self._reduce(_int_row(vector))
+
+
+def _row_space(m: QMatrix) -> IncrementalSpan:
+    span = IncrementalSpan(m.cols)
+    for row in m.row_dicts():
+        span._insert(_int_row(row))
+    return span
 
 
 def rank(m: QMatrix) -> int:
     """Rank over Q by exact elimination."""
-    _, pivot_cols = _echelon(m.row_dicts(), m.cols)
-    return len(pivot_cols)
+    return _row_space(m).dim
 
 
 def rref(m: QMatrix):
-    """Reduced row echelon form; returns (rows as col->Fraction, pivot cols)."""
-    pivot_rows, pivot_cols = _echelon(m.row_dicts(), m.cols)
-    frows = [{c: Fraction(v) for c, v in row.items()} for row in pivot_rows]
-    # back-substitute to clear pivot columns above, then normalize pivots to 1
-    for i in range(len(frows) - 1, -1, -1):
-        col = pivot_cols[i]
-        p = frows[i][col]
-        frows[i] = {c: v / p for c, v in frows[i].items()}
-        for j in range(i):
-            q = frows[j].get(col)
-            if q:
-                frows[j] = {c: frows[j].get(c, Fraction(0)) - q * frows[i].get(c, Fraction(0))
-                            for c in set(frows[j]) | set(frows[i])}
-                frows[j] = {c: v for c, v in frows[j].items() if v}
-    order = sorted(range(len(frows)), key=lambda i: pivot_cols[i])
-    return [frows[i] for i in order], [pivot_cols[i] for i in order]
+    """Reduced row basis; returns (rows as col->Fraction, pivot cols).
+
+    Each row is 1 at its own pivot column and 0 at every other one; rows are
+    sorted by pivot column.  The pivot columns are the kernel's fewest-uses
+    choice, so this is reduced row echelon form up to the order of columns.
+    The pivot rows are cleared newest first: once every later pivot row is
+    zero at all other pivot columns, reducing an earlier one against them
+    clears it there too.
+    """
+    reduced = IncrementalSpan(m.cols)
+    for col, row in reversed(_row_space(m).pivots.items()):
+        reduced._keep(col, reduced._reduce(row))
+    pivot_cols = sorted(reduced.pivots)
+    rows = []
+    for col in pivot_cols:
+        row = reduced.pivots[col]
+        p = row[col]
+        rows.append({c: Fraction(v, p) for c, v in row.items()})
+    return rows, pivot_cols
 
 
 def kernel_basis(m: QMatrix) -> list[list[Fraction]]:
@@ -176,92 +241,23 @@ def kernel_basis(m: QMatrix) -> list[list[Fraction]]:
     return basis
 
 
-def matvec(m: QMatrix, v) -> list[Fraction]:
-    out = [Fraction(0)] * m.rows
-    for (r, c), val in m.entries.items():
-        if v[c]:
-            out[r] += val * v[c]
-    return out
-
-
-class IncrementalSpan:
-    """Grow a row space one vector at a time, tracking its dimension.
-
-    ``add`` reduces the vector against the current echelon basis and returns
-    True when it enlarged the span.  Used for orbit-span computations where
-    early termination at a known target rank saves a lot of work.
-    """
-
-    def __init__(self, cols: int):
-        self.cols = cols
-        self.pivots: dict[int, dict[int, int]] = {}
-
-    @property
-    def dim(self) -> int:
-        return len(self.pivots)
-
-    def _reduce(self, row: dict[int, int]) -> dict[int, int]:
-        while row:
-            lead = min(row)
-            piv = self.pivots.get(lead)
-            if piv is None:
-                return row
-            p, q = piv[lead], row[lead]
-            row = {c: p * row.get(c, 0) - q * piv.get(c, 0)
-                   for c in set(row) | set(piv)}
-            row = {c: v for c, v in row.items() if v}
-            if row:
-                row = _reduce_content(row)
-        return row
-
-    def add(self, vector) -> bool:
-        if isinstance(vector, dict):
-            row = {c: v for c, v in vector.items() if v}
-        else:
-            row = {c: v for c, v in enumerate(vector) if v}
-        rows = _int_rows([row])
-        if not rows:
-            return False
-        row = self._reduce(rows[0])
-        if not row:
-            return False
-        self.pivots[min(row)] = row
-        return True
-
-    def contains(self, vector) -> bool:
-        if isinstance(vector, dict):
-            row = {c: v for c, v in vector.items() if v}
-        else:
-            row = {c: v for c, v in enumerate(vector) if v}
-        rows = _int_rows([row])
-        if not rows:
-            return True
-        return not self._reduce(rows[0])
-
-
-def span_dim(vectors) -> int:
-    """Dimension of the span of a family of equal-length rational vectors."""
+def _span_of(vectors, cols: int) -> IncrementalSpan:
     vectors = list(vectors)
-    if not vectors:
-        return 0
-    cols = len(vectors[0])
-    for v in vectors:
-        if len(v) != cols:
-            raise ValueError("dimension mismatch")
-    span = IncrementalSpan(cols)
-    for v in vectors:
-        span.add(v)
-    return span.dim
-
-
-def span_contains(vectors, v) -> bool:
-    """Exact membership of v in the span of the given vectors."""
-    vectors = list(vectors)
-    cols = len(v)
     for w in vectors:
         if len(w) != cols:
             raise ValueError("dimension mismatch")
     span = IncrementalSpan(cols)
     for w in vectors:
         span.add(w)
-    return span.contains(v)
+    return span
+
+
+def span_dim(vectors) -> int:
+    """Dimension of the span of a family of equal-length rational vectors."""
+    vectors = list(vectors)
+    return _span_of(vectors, len(vectors[0])).dim if vectors else 0
+
+
+def span_contains(vectors, v) -> bool:
+    """Exact membership of v in the span of the given vectors."""
+    return _span_of(vectors, len(v)).contains(v)

@@ -513,18 +513,25 @@ def concat_at_base(left, right):
 
 # --- small exhaustive move-graph machinery (used by tests and reports) -----------
 
+@lru_cache(maxsize=16)
+def _combos_by_sum(universe: tuple, size: int) -> dict:
+    """The ``size``-tuples of universe entries, grouped by their sum."""
+    index: dict = {}
+    for combo in itertools.product(universe, repeat=size):
+        index.setdefault(sum_weighting(combo), []).append(combo)
+    return index
+
+
 def sum_preserving_replacements(tup, positions, universe):
     """All ways to replace the entries at the given positions, keeping the sum."""
     tup = tuple(tup)
-    r = tup[0].r
     target = sum_weighting([tup[i] for i in positions])
     found = []
-    for combo in itertools.product(universe, repeat=len(positions)):
-        if sum_weighting(combo) == target:
-            new = list(tup)
-            for pos, entry in zip(positions, combo):
-                new[pos] = entry
-            found.append(tuple(new))
+    for combo in _combos_by_sum(tuple(universe), len(positions)).get(target, ()):
+        new = list(tup)
+        for pos, entry in zip(positions, combo):
+            new[pos] = entry
+        found.append(tuple(new))
     return found
 
 

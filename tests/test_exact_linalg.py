@@ -1,7 +1,11 @@
+import copy
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plucker.exact_linalg import (
     IncrementalSpan,
@@ -9,6 +13,7 @@ from plucker.exact_linalg import (
     kernel_basis,
     matvec,
     rank,
+    rref,
     span_contains,
     span_dim,
 )
@@ -83,8 +88,103 @@ def test_incremental_span():
     assert not span.contains([0, 0, 1])
 
 
+def test_pivot_column_is_the_least_used():
+    span = IncrementalSpan(3)
+    span.add([1, 1, 0])
+    span.add([0, -2, 2])  # column 1 is in one pivot row, column 2 in none
+    assert span.pivots == {0: {0: 1, 1: 1}, 2: {1: -1, 2: 1}}
+
+
 def test_frozen_matrix_rejects_writes():
     m = QMatrix(1, 1)
     m.freeze()
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         m.set(0, 0, 1)
+
+
+# --- property tests against a plain Fraction Gauss-Jordan elimination ---------
+
+def oracle_rref(rows, cols):
+    """Canonical reduced row echelon form: (nonzero rows, pivot columns)."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for j in range(len(rows)):
+            if j != r and rows[j][c]:
+                f = rows[j][c]
+                rows[j] = [a - f * b for a, b in zip(rows[j], rows[r])]
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
+
+
+@st.composite
+def matrices(draw):
+    """(cols, rows): small rational rows, with zero and repeated rows."""
+    cols = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(Fraction(0)),
+                      st.fractions(-4, 4, max_denominator=3))
+    base = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=1, max_size=5))
+    rows = draw(st.lists(st.sampled_from(base + [[0] * cols]), max_size=7))
+    return cols, rows
+
+
+properties = settings(derandomize=True, database=None, max_examples=100,
+                      deadline=None)
+
+
+@properties
+@given(matrices())
+def test_rank_and_kernel_agree_with_oracle(case):
+    cols, rows = case
+    m = QMatrix.from_rows(rows, cols)
+    _, pivots = oracle_rref(rows, cols)
+    assert rank(m) == span_dim(rows) == len(pivots)
+    kb = kernel_basis(m)
+    assert len(kb) == cols - len(pivots)
+    assert len(oracle_rref(kb, cols)[1]) == len(kb)
+    for v in kb:
+        assert not any(matvec(m, v))
+
+
+@properties
+@given(matrices())
+def test_rref_spans_the_row_space(case):
+    cols, rows = case
+    frows, pivot_cols = rref(QMatrix.from_rows(rows, cols))
+    assert pivot_cols == sorted(set(pivot_cols))
+    for row, pc in zip(frows, pivot_cols):
+        assert row[pc] == 1
+        assert all(row.get(other, 0) == 0 for other in pivot_cols if other != pc)
+    dense = [[row.get(c, 0) for c in range(cols)] for row in frows]
+    assert oracle_rref(dense, cols) == oracle_rref(rows, cols)
+
+
+@properties
+@given(matrices(), st.data())
+def test_incremental_span_agrees_with_oracle(case, data):
+    cols, rows = case
+    span = IncrementalSpan(cols)
+    for i, row in enumerate(rows):
+        before = len(oracle_rref(rows[:i], cols)[1])
+        grew = len(oracle_rref(rows[:i + 1], cols)[1]) > before
+        assert span.contains(row) == (not grew)
+        assert span.add(row if i % 2 else {c: v for c, v in enumerate(row)}) == grew
+        assert span.dim == before + grew
+    probe = data.draw(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols))
+    inside = len(oracle_rref(rows + [probe], cols)[1]) == span.dim
+    assert span_contains(rows, probe) == inside
+    pivots = copy.deepcopy(span.pivots)
+    assert span.contains(probe) == inside
+    assert span.pivots == pivots and span.dim == len(pivots)
+    # pivot rows are primitive integer rows, zero at every earlier pivot column
+    for k, (col, row) in enumerate(pivots.items()):
+        assert row[col] and all(v and isinstance(v, int) for v in row.values())
+        assert gcd(*row.values()) == 1
+        assert not any(c in row for c in list(pivots)[:k])

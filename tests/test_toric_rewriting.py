@@ -162,6 +162,23 @@ def test_type_invariant_under_quadratic_moves_exhaustive():
             assert type_vector(nb) == tv
 
 
+def test_quadratic_neighbors_match_brute_force_r3():
+    pool = enumerate_reduced_matchings(3)
+    position_sets = [(i,) for i in range(3)] + list(itertools.combinations(range(3), 2))
+    for tup in itertools.product(pool, repeat=3):
+        brute = set()
+        for positions in position_sets:
+            target = sum_weighting([tup[i] for i in positions])
+            for combo in itertools.product(pool, repeat=len(positions)):
+                if sum_weighting(combo) == target:
+                    new = list(tup)
+                    for pos, entry in zip(positions, combo):
+                        new[pos] = entry
+                    brute.add(tuple(new))
+        brute.discard(tup)
+        assert quadratic_neighbors(tup, pool) == brute
+
+
 def test_type_separates_quadratic_components_r4():
     """Exhaustive r=4 refinement of the type-invariance claim.
 
