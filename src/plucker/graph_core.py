@@ -16,7 +16,6 @@ Representation conventions, used throughout the package:
 
 from __future__ import annotations
 
-import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -24,19 +23,6 @@ from functools import lru_cache
 
 Edge = tuple[int, int]
 GraphKey = tuple[Edge, ...]
-
-
-@dataclass(frozen=True)
-class LabelSet:
-    """The vertex set {1..n}, circularly ordered 1 < 2 < ... < n clockwise."""
-
-    n: int
-
-    def __post_init__(self):
-        assert self.n >= 1
-
-    def labels(self) -> range:
-        return range(1, self.n + 1)
 
 
 @dataclass(frozen=True)
@@ -117,21 +103,29 @@ def orientation_sign(edges) -> int:
     eps(m) is the sign of the permutation (a1,b1,a2,b2,...) of 1..n, edges
     listed by increasing min endpoint.  Reordering whole edges permutes the
     word by blocks of two, an even permutation, so the edge order does not
-    actually matter; sorting just pins the definition down.
+    actually matter; sorting just pins the definition down.  Raises
+    ``ValueError`` when the edges are not a perfect matching on 1..n.
     """
-    edges = sorted(edges, key=lambda e: min(e))
-    word = [v for e in edges for v in e]
-    n = len(word)
-    assert sorted(word) == list(range(1, n + 1)), "not a perfect matching"
+    return _orientation_sign(tuple(tuple(e) for e in edges))
+
+
+@lru_cache(maxsize=1 << 16)
+def _orientation_sign(edges: GraphKey) -> int:
+    # errors are not cached, so a bad matching raises on every call
+    word = [v for e in sorted(edges, key=min) for v in e]
+    if sorted(word) != list(range(1, len(word) + 1)):
+        raise ValueError(f"not a perfect matching: {edges}")
     return perm_sign(word)
 
 
 def matching_key(pairs) -> GraphKey:
-    """Canonical key for an undirected perfect matching."""
+    """Canonical key for an undirected perfect matching (``ValueError`` if not one)."""
     cf = canonicalize(pairs)
-    assert cf.sign != 0, "loop in matching"
+    if cf.sign == 0:
+        raise ValueError("loop in matching")
     word = [v for e in cf.graph for v in e]
-    assert sorted(word) == list(range(1, len(word) + 1)), "not a perfect matching"
+    if sorted(word) != list(range(1, len(word) + 1)):
+        raise ValueError(f"not a perfect matching: {cf.graph}")
     return cf.graph
 
 
@@ -173,7 +167,8 @@ def connected_component_partition(n: int, edges):
 @lru_cache(maxsize=None)
 def enumerate_matchings(n: int) -> tuple[GraphKey, ...]:
     """All (n-1)!! perfect matchings on 1..n, in a fixed deterministic order."""
-    assert n >= 0 and n % 2 == 0
+    if n < 0 or n % 2:
+        raise ValueError(f"need even n >= 0, got n={n}")
 
     def rec(verts):
         if not verts:
@@ -192,35 +187,58 @@ def enumerate_matchings(n: int) -> tuple[GraphKey, ...]:
 def enumerate_noncrossing_regular(n: int, d: int) -> tuple[GraphKey, ...]:
     """All loop-free non-crossing d-regular multigraphs on 1..n, lex sorted.
 
-    Enumeration completes the lowest vertex with remaining valence first;
-    within a vertex, partners are chosen in increasing order, never below the
-    previous partner, so each edge multiset appears exactly once.
+    Built by interval decomposition (``_interval_graphs``), so no candidate
+    is ever tested for crossings.  Raises ``ValueError`` unless n is even
+    and at least 2 and d >= 0.
     """
-    assert n >= 2 and n % 2 == 0 and d >= 0
-    results: list[GraphKey] = []
+    if n < 2 or n % 2 or d < 0:
+        raise ValueError(f"need even n >= 2 and d >= 0, got n={n}, d={d}")
+    return tuple(sorted(_interval_graphs(1, n, d, d, d, {})))
 
-    def rec(remaining, chosen, min_partner):
-        verts = [v for v in range(1, n + 1) if remaining[v] > 0]
-        if not verts:
-            results.append(tuple(sorted(chosen)))
-            return
-        v = verts[0]
-        for w in range(max(v + 1, min_partner), n + 1):
-            if remaining[w] == 0:
-                continue
-            e = (v, w)
-            if any(crossing(e, f) for f in chosen):
-                continue
-            remaining[v] -= 1
-            remaining[w] -= 1
-            chosen.append(e)
-            rec(remaining, chosen, w if remaining[v] > 0 else 0)
-            chosen.pop()
-            remaining[v] += 1
-            remaining[w] += 1
 
-    rec([d] * (n + 1), [], 0)
-    return tuple(sorted(set(results)))
+def _interval_graphs(i: int, j: int, a: int, b: int, d: int,
+                     memo: dict) -> tuple[GraphKey, ...]:
+    """Non-crossing multigraphs on i..j (i < j) with valence a at i, b at j
+    and d strictly between, each a canonical key, each exactly once.
+
+    With a = 0 vertex i is done.  Otherwise let k be i's largest partner and
+    take one copy of (i, k) out: nothing can cross that chord, so the rest
+    splits into a graph on i..k with valence t - 1 at k and one on k..j with
+    the other d - t (t = 1..d), or is one graph on i..j when k = j.  Every
+    edge of the left part at i sorts before (i, k), and every other edge of
+    it before every edge of the right part, so keys join by slicing.
+    ``memo`` is the caller's dict; a module-level function keeps it out of
+    reference cycles, so it is freed when the caller drops it.
+    """
+    key = (i, j, a, b)
+    found = memo.get(key)
+    if found is not None:
+        return found
+    out: list[GraphKey] = []
+    if a == 0:
+        if j == i + 1:
+            if b == 0:
+                out.append(())
+        else:
+            out.extend(_interval_graphs(i + 1, j, d, b, d, memo))
+    else:
+        m = a - 1
+        for k in range(i + 1, j):
+            edge = ((i, k),)
+            for t in range(1, d + 1):
+                lefts = _interval_graphs(i, k, m, t - 1, d, memo)
+                if not lefts:
+                    continue
+                rights = _interval_graphs(k, j, d - t, b, d, memo)
+                for g in lefts:
+                    g = g[:m] + edge + g[m:]
+                    out.extend(g + h for h in rights)
+        if b > 0:
+            edge = ((i, j),)
+            out.extend(g[:m] + edge + g[m:]
+                       for g in _interval_graphs(i, j, m, b - 1, d, memo))
+    found = memo[key] = tuple(out)
+    return found
 
 
 @lru_cache(maxsize=None)
@@ -281,13 +299,6 @@ def parse_graph_json(text: str) -> tuple[int, list[Edge]]:
 
 def graph_to_json(n: int, edges) -> str:
     return json.dumps({"n": n, "edges": [list(e) for e in edges]})
-
-
-def all_permutations(n: int):
-    """All permutations of 1..n as dicts, in itertools order."""
-    base = list(range(1, n + 1))
-    for img in itertools.permutations(base):
-        yield dict(zip(base, img))
 
 
 def perm_sign_of_map(perm: dict[int, int]) -> int:

@@ -23,7 +23,6 @@ from .graph_core import (
     Edge,
     GraphKey,
     canonicalize,
-    crossing,
     enumerate_noncrossing_regular,
     is_regular,
     matching_key,
@@ -131,16 +130,27 @@ def load_cache(directory, cache: StraightenCache | None = None) -> dict:
 
 
 def first_crossing_pair(edges: GraphKey):
-    """Lexicographically smallest crossing pair, keyed by sorted endpoint 4-tuple."""
-    best = None
+    """Lexicographically smallest crossing pair, keyed by sorted endpoint 4-tuple.
+
+    ``edges`` is canonical: sorted, each edge (a, b) with a < b.  For j > i
+    with edges (a, b), (c, d), c >= a; the pair crosses iff a < c < b < d and
+    its key is then (a, c, b, d), and no edge from c >= b on crosses (a, b).
+    The first crossing pair of this sweep has the smallest key: an earlier i
+    crosses nothing, a later j gives a larger (c, d), and a later i' with the
+    same a and a larger b' either crosses at c' >= b > c or its partner also
+    crosses edge i at a smaller key.  Equal keys need a repeated edge, and
+    the sweep meets the first (i, j) of those.
+    """
     k = len(edges)
     for i in range(k):
+        a, b = edges[i]
         for j in range(i + 1, k):
-            if crossing(edges[i], edges[j]):
-                key = tuple(sorted(edges[i] + edges[j]))
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-    return None if best is None else (best[1], best[2])
+            c, d = edges[j]
+            if c >= b:
+                break
+            if a < c and b < d:
+                return i, j
+    return None
 
 
 def _plucker_children(edges: GraphKey, i: int, j: int) -> tuple[GraphKey, GraphKey]:
@@ -360,8 +370,10 @@ def evaluate(e: RingElement, p: PointConfig) -> Fraction:
 
 
 def hilbert_dim(n: int, d: int) -> int:
-    """dim of the degree-d graded piece: count of non-crossing d-regular graphs."""
-    assert n % 2 == 0 and d >= 0
+    """dim of the degree-d graded piece: count of non-crossing d-regular graphs.
+
+    Raises ``ValueError`` unless n is even and at least 2 and d >= 0.
+    """
     return len(enumerate_noncrossing_regular(n, d))
 
 

@@ -12,6 +12,7 @@ from plucker.graph_core import (
     enumerate_noncrossing_regular,
     graph_to_json,
     graph_to_text,
+    matching_key,
     orientation_sign,
     parse_graph,
     parse_graph_json,
@@ -46,11 +47,26 @@ def test_orientation_sign_examples():
     assert orientation_sign(((2, 1), (3, 4))) == -1
     # one transposition in the 4-letter word (1,3,2,4)
     assert orientation_sign(((1, 3), (2, 4))) == -1
+    assert orientation_sign([[2, 1], [3, 4]]) == -1
 
 
 def test_orientation_sign_rejects_non_matchings():
-    with pytest.raises(AssertionError):
-        orientation_sign(((1, 2), (2, 3)))
+    # the sign is cached per matching, but an error must repeat on every call
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            orientation_sign(((1, 2), (2, 3)))
+
+
+def test_bad_inputs_raise_value_error():
+    for call in (lambda: enumerate_matchings(5),
+                 lambda: enumerate_matchings(-2),
+                 lambda: enumerate_noncrossing_regular(7, 2),
+                 lambda: enumerate_noncrossing_regular(0, 1),
+                 lambda: enumerate_noncrossing_regular(6, -1),
+                 lambda: matching_key([(1, 1), (2, 3)]),
+                 lambda: matching_key([(1, 2), (2, 3)])):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_orientation_equivariance_exhaustive_small():
@@ -97,6 +113,50 @@ def test_noncrossing_61_against_bruteforce():
                                 for e, f in itertools.combinations(m, 2))]
     assert len(crossing_free) == 5
     assert sorted(crossing_free) == list(enumerate_noncrossing_regular(6, 1))
+
+
+def _regular_multigraphs(n, d):
+    """Every loop-free d-regular multigraph on 1..n, by backtracking alone.
+
+    The lowest vertex with valence left takes its partners in increasing
+    order, so each edge multiset is built once, already sorted.
+    """
+    out = []
+    left = [d] * (n + 1)
+
+    def rec(chosen, low):
+        v = next((u for u in range(1, n + 1) if left[u]), None)
+        if v is None:
+            out.append(tuple(chosen))
+            return
+        for w in range(max(v + 1, low), n + 1):
+            if left[w]:
+                left[v] -= 1
+                left[w] -= 1
+                chosen.append((v, w))
+                rec(chosen, w if left[v] else 0)
+                chosen.pop()
+                left[v] += 1
+                left[w] += 1
+
+    rec([], 0)
+    return out
+
+
+def test_noncrossing_regular_against_crossing_filter():
+    for n in (2, 4, 6, 8):
+        for d in (0, 1, 2, 3):
+            oracle = sorted(g for g in _regular_multigraphs(n, d)
+                            if not any(crossing(e, f)
+                                       for e, f in itertools.combinations(g, 2)))
+            got = enumerate_noncrossing_regular(n, d)
+            assert got == tuple(oracle), (n, d)
+            assert len(set(got)) == len(got)
+
+
+def test_noncrossing_regular_counts_at_scale():
+    assert len(enumerate_noncrossing_regular(12, 2)) == 4213
+    assert len(enumerate_noncrossing_regular(10, 3)) == 4269
 
 
 def test_noncrossing_small_examples():

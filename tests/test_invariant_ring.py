@@ -4,15 +4,18 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import plucker.invariant_ring as ir
-from plucker.graph_core import catalan, enumerate_matchings
+from plucker.graph_core import catalan, crossing, enumerate_matchings
 from plucker.invariant_ring import (
     FuelExhausted,
     PointConfig,
     RingElement,
     StraightenCache,
     evaluate,
+    first_crossing_pair,
     hilbert_dim,
     kempe_factor,
     multiply,
@@ -146,6 +149,40 @@ def test_hilbert_dims():
     assert hilbert_dim(6, 3) == 34
     for n in (2, 4, 6, 8, 10):
         assert hilbert_dim(n, 1) == catalan(n // 2)
+
+
+def test_hilbert_dim_rejects_bad_inputs():
+    for n, d in ((5, 1), (0, 1), (6, -1)):
+        with pytest.raises(ValueError):
+            hilbert_dim(n, d)
+
+
+def _first_crossing_pair_oracle(edges):
+    """Every pair tested; the smallest sorted endpoint 4-tuple wins, first on ties."""
+    best = None
+    for i, j in itertools.combinations(range(len(edges)), 2):
+        if crossing(edges[i], edges[j]):
+            key = tuple(sorted(edges[i] + edges[j]))
+            if best is None or key < best[0]:
+                best = (key, i, j)
+    return None if best is None else best[1:]
+
+
+@st.composite
+def canonical_multigraphs(draw):
+    """Sorted edges (a, b), a < b, on at most 14 vertices, with repeated edges."""
+    n = draw(st.integers(2, 14))
+    edge = st.tuples(st.integers(1, n), st.integers(1, n)).filter(
+        lambda e: e[0] != e[1]).map(lambda e: (min(e), max(e)))
+    base = draw(st.lists(edge, min_size=1, max_size=10))
+    edges = draw(st.lists(st.sampled_from(base), max_size=16))
+    return tuple(sorted(edges))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(canonical_multigraphs())
+def test_first_crossing_pair_agrees_with_all_pairs(edges):
+    assert first_crossing_pair(edges) == _first_crossing_pair_oracle(edges)
 
 
 def test_noncrossing_family_is_a_basis_of_functions():
