@@ -1,31 +1,27 @@
-"""Command-line front end: straightening, reports, toric tools, caching.
+"""Command-line front end: straightening, relations, reports, toric tools.
 
 Exit codes: 0 success, 1 failed report criterion, 2 parse error,
 70 internal fuel exhaustion.  All subcommands accept ``--json``.
 
-The straightening memo persists across runs when PLUCKER_CACHE_DIR is set
-(or --cache-dir is given); --no-cache disables persistence entirely.
+The straightening memo lives in the process only; ``report --json`` shows
+its hit, miss and entry counts for the run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
 from . import reports, symmetry_rep, toric_rewriting, toric_trees
 from .graph_core import graph_to_json, parse_graph, parse_graph_json
 from .invariant_ring import (
-    GLOBAL_CACHE,
     FuelExhausted,
     PointConfig,
     RingElement,
     evaluate,
     hilbert_dim,
-    load_cache,
-    save_cache,
     straighten,
     x_of,
 )
@@ -111,14 +107,8 @@ def parse_element(text: str) -> RingElement:
         else:
             n, edges = parse_graph(text)
         return x_of(n, edges)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise CliParseError(str(exc)) from exc
-
-
-def _element_report(e: RingElement) -> dict:
-    terms = [{"coeff": str(c), "edges": [list(p) for p in k]}
-             for k, c in sorted(e.terms.items())]
-    return {"n": e.n, "terms": terms}
 
 
 def _print(payload: dict, as_json: bool, text: str | None = None) -> None:
@@ -131,8 +121,8 @@ def _print(payload: dict, as_json: bool, text: str | None = None) -> None:
 def cmd_straighten(args) -> int:
     e = parse_element(args.element)
     result = straighten(e)
-    payload = {"command": "straighten", "input": _element_report(e),
-               "output": _element_report(result)}
+    payload = {"command": "straighten", "input": json.loads(e.to_json()),
+               "output": json.loads(result.to_json())}
     if result.is_zero():
         _print(payload, args.json, "0")
     else:
@@ -274,8 +264,13 @@ def cmd_orbit_span(args) -> int:
         rel = simplest_binomial((1, 2, 6, 5), (3, 4, 8, 7))
     elif args.builtin == "segre6":
         rel = segre_cubic()
+    elif args.element:
+        try:
+            rel = SymElement.from_json(_read_arg(args.element))
+        except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+            raise CliParseError(str(exc)) from exc
     else:
-        rel = SymElement.from_json(_read_arg(args.element))
+        raise CliParseError("orbit-span needs --builtin or --element")
     rank, spans = orbit_span_check(rel)
     payload = {"command": "orbit-span", "n": rel.n, "degree": rel.degree,
                "rank": rank, "spans_ideal": spans}
@@ -296,8 +291,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_report(args) -> int:
     start = time.time()
-    result = reports.run_suite(args.suite, seed=args.seed, trials=args.trials,
-                               jobs=args.jobs)
+    result = reports.run_suite(args.suite, seed=args.seed, trials=args.trials)
     result["seconds"] = round(time.time() - start, 3)
     if args.json:
         print(json.dumps(result, sort_keys=True, default=str))
@@ -310,36 +304,10 @@ def cmd_report(args) -> int:
     return EXIT_OK if result["pass"] else EXIT_CRITERION_FAILED
 
 
-def cmd_cache(args) -> int:
-    directory = args.dir or os.environ.get("PLUCKER_CACHE_DIR")
-    if args.action == "stats":
-        _print({"command": "cache-stats", **GLOBAL_CACHE.stats()}, args.json,
-               str(GLOBAL_CACHE.stats()))
-        return EXIT_OK
-    if not directory:
-        raise CliParseError("no cache directory (give DIR or set PLUCKER_CACHE_DIR)")
-    if args.action == "save":
-        written = save_cache(directory)
-        _print({"command": "cache-save", "files": written}, args.json,
-               f"wrote {len(written)} files")
-    else:
-        outcome = load_cache(directory)
-        for reason in outcome["skipped"]:
-            print(f"warning: skipped {reason}", file=sys.stderr)
-        _print({"command": "cache-load", **outcome}, args.json,
-               f"loaded {outcome['loaded']} expansions")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="plucker",
         description="Exact graphical calculus for invariants of points on a line.")
-    ap.add_argument("--cache-dir", default=None,
-                    help="persist the straightening memo here "
-                         "(default: $PLUCKER_CACHE_DIR)")
-    ap.add_argument("--no-cache", action="store_true",
-                    help="do not load or save the persistent cache")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, func, **kwargs):
@@ -393,34 +361,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=sorted(reports.SUITES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--jobs", type=int, default=1)
-
-    p = add("cache", cmd_cache, help="persist or restore the straightening memo")
-    p.add_argument("action", choices=("save", "load", "stats"))
-    p.add_argument("dir", nargs="?")
 
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cache_dir = args.cache_dir or os.environ.get("PLUCKER_CACHE_DIR")
-    use_cache = cache_dir and not args.no_cache and args.command != "cache"
-    if use_cache and os.path.isdir(cache_dir):
-        outcome = load_cache(cache_dir)
-        for reason in outcome["skipped"]:
-            print(f"warning: skipped {reason}", file=sys.stderr)
     try:
-        code = args.func(args)
+        return args.func(args)
     except FuelExhausted as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_FUEL
     except (CliParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    if use_cache:
-        save_cache(cache_dir)
-    return code
 
 
 if __name__ == "__main__":

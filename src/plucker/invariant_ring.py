@@ -8,8 +8,9 @@ Plucker relation
     X_ab X_cd = X_ad X_cb + X_ac X_bd
 
 always picking the lexicographically smallest crossing pair.  Expansions of
-single graphs are memoized in a process-wide cache that can be persisted to
-disk (see the cli module).
+single graphs, and of every intermediate graph met on the way, are memoized
+in a process-wide in-process dict keyed by the canonical graph alone: the
+expansion of a graph does not depend on n, which only names the label set.
 """
 
 from __future__ import annotations
@@ -42,91 +43,23 @@ class FuelExhausted(RuntimeError):
 
 
 class StraightenCache:
-    """Memo of canonical graph -> non-crossing expansion, bucketed by (n, edges).
-
-    Buckets exist so the cache can be persisted one (n, degree) file at a
-    time.  Entries map a canonical graph key to an integer-coefficient
-    expansion supported on non-crossing graphs.  Concurrent readers are fine;
-    inserts are idempotent (entries are canonical), so last-writer-wins.
-    """
-
-    VERSION = 1
+    """Memo of canonical graph -> integer expansion in the non-crossing basis."""
 
     def __init__(self):
-        self.buckets: dict[tuple[int, int], dict[GraphKey, dict[GraphKey, int]]] = {}
+        self.memo: dict[GraphKey, dict[GraphKey, int]] = {}
         self.hits = 0
         self.misses = 0
 
-    def bucket(self, n: int, m: int) -> dict:
-        return self.buckets.setdefault((n, m), {})
-
     def clear(self) -> None:
-        self.buckets.clear()
+        self.memo.clear()
         self.hits = 0
         self.misses = 0
 
     def stats(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "entries": sum(len(b) for b in self.buckets.values()),
-        }
+        return {"hits": self.hits, "misses": self.misses, "entries": len(self.memo)}
 
 
 GLOBAL_CACHE = StraightenCache()
-
-
-def save_cache(directory, cache: StraightenCache | None = None) -> list[str]:
-    """Persist the memo, one versioned JSON file per (n, edge count) bucket."""
-    import os
-
-    cache = cache or GLOBAL_CACHE
-    os.makedirs(directory, exist_ok=True)
-    written = []
-    for (n, m), bucket in sorted(cache.buckets.items()):
-        if not bucket:
-            continue
-        path = os.path.join(directory, f"straighten_n{n}_m{m}.json")
-        payload = {
-            "version": StraightenCache.VERSION,
-            "n": n,
-            "edges": m,
-            "entries": [[list(map(list, key)),
-                         [[list(map(list, g)), c] for g, c in sorted(exp.items())]]
-                        for key, exp in sorted(bucket.items())],
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
-        written.append(path)
-    return written
-
-
-def load_cache(directory, cache: StraightenCache | None = None) -> dict:
-    """Merge persisted buckets back in; bad or mismatched files are skipped.
-
-    Returns {"loaded": k, "skipped": [reasons]} so callers can warn.
-    """
-    import glob
-    import os
-
-    cache = cache or GLOBAL_CACHE
-    loaded = 0
-    skipped = []
-    for path in sorted(glob.glob(os.path.join(str(directory), "straighten_n*_m*.json"))):
-        try:
-            with open(path) as fh:
-                payload = json.load(fh)
-            if payload.get("version") != StraightenCache.VERSION:
-                skipped.append(f"{path}: version mismatch")
-                continue
-            bucket = cache.bucket(int(payload["n"]), int(payload["edges"]))
-            for key_l, exp_l in payload["entries"]:
-                key = tuple(tuple(e) for e in key_l)
-                bucket[key] = {tuple(tuple(e) for e in g): int(c) for g, c in exp_l}
-                loaded += 1
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            skipped.append(f"{path}: {exc}")
-    return {"loaded": loaded, "skipped": skipped}
 
 
 def first_crossing_pair(edges: GraphKey):
@@ -191,7 +124,7 @@ def straighten_graph(n: int, key: GraphKey,
     branch, but a fuel counter guards against implementation bugs.
     """
     cache = cache or GLOBAL_CACHE
-    memo = cache.bucket(n, len(key))
+    memo = cache.memo
     if key in memo:
         cache.hits += 1
         return memo[key]

@@ -35,10 +35,14 @@ from .relations import (
 
 
 def random_config(n: int, rng: random.Random) -> PointConfig:
-    """Distinct integer x-coordinates in [-9, 9] with y = 1."""
+    """Distinct integer x-coordinates in [-R, R], R = max(9, n // 2), y = 1.
+
+    The range grows with n so that n distinct values always exist.
+    """
+    bound = max(9, n // 2)
     xs: list[int] = []
     while len(xs) < n:
-        x = rng.randint(-9, 9)
+        x = rng.randint(-bound, bound)
         if x not in xs:
             xs.append(x)
     return PointConfig.from_integers(xs)
@@ -363,21 +367,12 @@ def run_criterion(name: str, seed: int = 0, trials: int = 500) -> dict:
     return result
 
 
-def run_suite(suite: str, seed: int = 0, trials: int = 500, jobs: int = 1) -> dict:
-    """Run one named block of criteria; deterministic merge order."""
-    names = SUITES[suite]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {name: pool.submit(run_criterion, name, seed, trials)
-                       for name in names}
-            results = [futures[name].result() for name in names]
-    else:
-        results = [run_criterion(name, seed=seed, trials=trials) for name in names]
+def run_suite(suite: str, seed: int = 0, trials: int = 500) -> dict:
+    """Run one named block of criteria in order."""
+    results = [run_criterion(name, seed=seed, trials=trials) for name in SUITES[suite]]
     return {
         "suite": suite,
-        "inputs": {"seed": seed, "trials": trials, "jobs": jobs},
+        "inputs": {"seed": seed, "trials": trials},
         "criteria": results,
         "pass": all(r["pass"] for r in results),
         "cache": GLOBAL_CACHE.stats(),

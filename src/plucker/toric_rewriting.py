@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .toric_trees import TreeWeighting, build_caterpillar
+from .toric_trees import TreeWeighting, admissible_triple, build_caterpillar
 
 Triple = tuple[int, int, int]
 
@@ -60,7 +60,8 @@ class CatWeighting:
     # -- predicates ---------------------------------------------------------
 
     def is_admissible(self) -> bool:
-        return all(_triangle(*self.local_triple(v)) for v in range(2, self.r))
+        return all(admissible_triple(*self.local_triple(v), reduced=True)
+                   for v in range(2, self.r))
 
     def is_reduced_matching(self) -> bool:
         return self.is_admissible() and all(s <= 1 for s in self.stalks)
@@ -101,10 +102,6 @@ class CatWeighting:
         return cls(r, stalks, bases)
 
 
-def _triangle(a: int, b: int, c: int) -> bool:
-    return 2 * max(a, b, c) <= a + b + c
-
-
 def sum_weighting(tup) -> CatWeighting:
     total = tup[0]
     for entry in tup[1:]:
@@ -127,7 +124,7 @@ def enumerate_reduced_matchings(r: int) -> tuple[CatWeighting, ...]:
         if v == r - 1:
             for sv in (0, 1):
                 for sr in (0, 1):
-                    if _triangle(left_value, sv, sr):
+                    if admissible_triple(left_value, sv, sr, reduced=True):
                         out.append(CatWeighting(
                             r, tuple(stalks + [sv, sr]), tuple(bases)))
             return
@@ -165,7 +162,8 @@ def balance_triples(triples):
     """
     work = [tuple(t) for t in triples]
     for a, b, c in work:
-        assert b <= 1 and _triangle(a, b, c), f"bad local triple {(a, b, c)}"
+        assert b <= 1 and admissible_triple(a, b, c, reduced=True), \
+            f"bad local triple {(a, b, c)}"
     trace = []
 
     def imbalanced_coordinate():
@@ -190,7 +188,8 @@ def balance_triples(triples):
             ti[other] += 1
             tj[other] -= 1
         work[lo], work[hi] = tuple(ti), tuple(tj)
-        assert _triangle(*work[lo]) and _triangle(*work[hi]), \
+        assert admissible_triple(*work[lo], reduced=True) and \
+            admissible_triple(*work[hi], reduced=True), \
             "balancing move broke admissibility"
         trace.append((lo, hi, work[lo], work[hi]))
     return work, trace
@@ -262,10 +261,6 @@ def _span_balanced(tup) -> bool:
 
 
 # --- breakability, types, the toric cubic move ----------------------------------
-
-def is_unbreakable(m: CatWeighting) -> bool:
-    return m.is_unbreakable()
-
 
 _TYPE_A = [(0, 0, 0), (1, 1, 1), (1, 1, 1)]
 _TYPE_B = sorted([(1, 1, 0), (0, 1, 1), (1, 0, 1)])

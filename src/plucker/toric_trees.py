@@ -65,11 +65,6 @@ class TrivalentTree:
     def trinodes(self) -> list[int]:
         return [v for v in range(self.num_vertices) if len(self.adj[v]) == 3]
 
-    def trinode_triples(self):
-        """(vertex, edge index triple) for every trinode."""
-        for v in self.trinodes():
-            yield v, tuple(idx for idx, _ in self.adj[v])
-
     def path_between_vertices(self, u: int, w: int):
         """(vertex tuple, edge index tuple) of the geodesic from u to w."""
         key = (u, w)
@@ -245,6 +240,8 @@ class TreeWeighting:
         return tuple(self.weights[idx] for idx, _ in self.tree.adj[trinode])
 
     def is_admissible(self) -> bool:
+        # admissible_triple inlined: greedy_graph calls this after every
+        # geodesic it subtracts, and the call per trinode costs measurably
         for v in self.tree.trinodes():
             a, b, c = self.weight_triple(v)
             if max(a, b, c) * 2 > a + b + c:
@@ -312,9 +309,14 @@ def level(edges, tree: TrivalentTree) -> int:
 
 
 def weighting_of_graph(edges, tree: TrivalentTree) -> TreeWeighting:
-    """Per tree edge, the number of graph edges whose geodesic crosses it."""
+    """Per tree edge, the number of graph edges whose geodesic crosses it.
+
+    Raises ``ValueError`` on a loop, which has no geodesic.
+    """
     counts = [0] * len(tree.edges)
     for a, b in edges:
+        if a == b:
+            raise ValueError(f"loop at {a} has no weighting")
         for idx in tree.leaf_path(a, b)[1]:
             counts[idx] += 1
     return TreeWeighting(tree, tuple(counts))
@@ -462,103 +464,72 @@ def untruncate(wred: TreeWeighting, original: TrivalentTree) -> TreeWeighting:
     return out
 
 
-def _root_orientation(tree: TrivalentTree):
-    """Orient edges away from the leaf with label 1; returns child lists."""
+def admissible_triple(a: int, b: int, c: int, reduced: bool = False) -> bool:
+    """Triangle inequalities at one trinode; an even sum too unless reduced."""
+    return 2 * max(a, b, c) <= a + b + c and (reduced or (a + b + c) % 2 == 0)
+
+
+def _completion_counts(tree: TrivalentTree, d: int):
+    """The DP shared by counting and enumeration, hung from leaf 1's edge.
+
+    Returns (table, root_edge, below, children): ``children[v]`` lists the
+    (edge, vertex) pairs under trinode v, and ``table[e]`` maps a weight on
+    edge e to the number of admissible completions of the subtree under e
+    with every leaf edge weighted d.
+    """
     root_leaf = tree.leaf_of_label[min(tree.leaf_of_label)]
     (root_edge, below), = tree.adj[root_leaf]
     children: dict[int, list[tuple[int, int]]] = {}
-    stack = [(below, root_leaf)]
-    order = []
-    while stack:
-        v, parent = stack.pop()
-        kids = [(idx, w) for idx, w in tree.adj[v] if w != parent]
-        children[v] = kids
-        order.append((v, parent))
-        for _, w in kids:
-            if len(tree.adj[w]) == 3:
-                stack.append((w, v))
-    return root_leaf, root_edge, below, children
+    table: dict[int, dict[int, int]] = {}
 
+    def fill(e: int, v: int, parent: int) -> None:
+        if v in tree.label_of_leaf:
+            table[e] = {d: 1}
+            return
+        children[v] = [(idx, w) for idx, w in tree.adj[v] if w != parent]
+        (e1, c1), (e2, c2) = children[v]
+        fill(e1, c1, v)
+        fill(e2, c2, v)
+        out: dict[int, int] = {}
+        for w1, n1 in table[e1].items():
+            for w2, n2 in table[e2].items():
+                # the triangle inequalities bound w; stepping by 2 keeps
+                # w + w1 + w2 even
+                for w in range(abs(w1 - w2), w1 + w2 + 1, 2):
+                    out[w] = out.get(w, 0) + n1 * n2
+        table[e] = out
 
-def _triples_ok(a: int, b: int, c: int, reduced: bool) -> bool:
-    if max(a, b, c) * 2 > a + b + c:
-        return False
-    return reduced or (a + b + c) % 2 == 0
+    fill(root_edge, below, root_leaf)
+    return table, root_edge, below, children
 
 
 def count_admissible_regular(tree: TrivalentTree, d: int) -> int:
     """Number of admissible weightings regular of degree d (exact DP)."""
-    root_leaf, root_edge, below, children = _root_orientation(tree)
-
-    memo: dict[tuple[int, int], dict[int, int]] = {}
-
-    def counts_for(v: int, parent_edge: int) -> dict[int, int]:
-        """Map: weight on the edge above v -> number of subtree completions."""
-        key = (v, parent_edge)
-        if key in memo:
-            return memo[key]
-        if v in tree.label_of_leaf:
-            memo[key] = {d: 1}
-            return memo[key]
-        (e1, c1), (e2, c2) = children[v]
-        d1 = counts_for(c1, e1)
-        d2 = counts_for(c2, e2)
-        out: dict[int, int] = {}
-        for w1, n1 in d1.items():
-            for w2, n2 in d2.items():
-                lo, hi = abs(w1 - w2), w1 + w2
-                for w in range(lo, hi + 1):
-                    if _triples_ok(w, w1, w2, reduced=False):
-                        out[w] = out.get(w, 0) + n1 * n2
-        memo[key] = out
-        return out
-
-    return counts_for(below, root_edge).get(d, 0)
+    table, root_edge, _, _ = _completion_counts(tree, d)
+    return table[root_edge].get(d, 0)
 
 
 def enumerate_admissible_regular(tree: TrivalentTree, d: int):
     """Yield every admissible weighting regular of degree d, DP-pruned."""
-    root_leaf, root_edge, below, children = _root_orientation(tree)
-    table: dict[tuple[int, int], dict[int, int]] = {}
-
-    def fill(v: int, parent_edge: int) -> dict[int, int]:
-        key = (v, parent_edge)
-        if key in table:
-            return table[key]
-        if v in tree.label_of_leaf:
-            table[key] = {d: 1}
-            return table[key]
-        (e1, c1), (e2, c2) = children[v]
-        d1, d2 = fill(c1, e1), fill(c2, e2)
-        out: dict[int, int] = {}
-        for w1 in d1:
-            for w2 in d2:
-                for w in range(abs(w1 - w2), w1 + w2 + 1):
-                    if _triples_ok(w, w1, w2, reduced=False):
-                        out[w] = 1
-        table[key] = out
-        return out
-
-    fill(below, root_edge)
+    table, root_edge, below, children = _completion_counts(tree, d)
     weights = [0] * len(tree.edges)
     weights[root_edge] = d
 
-    def gen(v: int, parent_edge: int, w: int):
+    def gen(v: int, w: int):
         if v in tree.label_of_leaf:
-            if w == d:
-                yield True
+            yield True  # leaf edges only take the table's one weight, d
             return
         (e1, c1), (e2, c2) = children[v]
-        for w1 in sorted(table[(c1, e1)]):
-            for w2 in sorted(table[(c2, e2)]):
-                if not _triples_ok(w, w1, w2, reduced=False):
+        for w1 in sorted(table[e1]):
+            for w2 in sorted(table[e2]):
+                if not admissible_triple(w, w1, w2):
                     continue
                 weights[e1], weights[e2] = w1, w2
-                for _ in gen(c1, e1, w1):
-                    for _ in gen(c2, e2, w2):
+                for _ in gen(c1, w1):
+                    for _ in gen(c2, w2):
                         yield True
 
-    for _ in gen(below, root_edge, d):
+    for _ in gen(below, d):
         yield TreeWeighting(tree, tuple(weights))
 
 

@@ -11,7 +11,6 @@ from plucker.toric_rewriting import (
     balance_with_trace,
     enumerate_reduced_matchings,
     is_balanced,
-    is_unbreakable,
     merge_pair,
     normal_form,
     quadratic_neighbors,
@@ -99,10 +98,10 @@ def test_balance_trace_is_recorded():
 
 
 def test_is_unbreakable():
-    assert not is_unbreakable(CatWeighting(4, (0, 0, 0, 0), (0,)))
-    assert is_unbreakable(CatWeighting(4, (1, 1, 1, 1), (1,)))
+    assert not CatWeighting(4, (0, 0, 0, 0), (0,)).is_unbreakable()
+    assert CatWeighting(4, (1, 1, 1, 1), (1,)).is_unbreakable()
     # no base edges on the third caterpillar: vacuously unbreakable
-    assert is_unbreakable(CatWeighting(3, (0, 0, 0), ()))
+    assert CatWeighting(3, (0, 0, 0), ()).is_unbreakable()
 
 
 def test_type_vector_examples():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -65,6 +66,8 @@ def test_weighting_of_graph_examples():
     verts, eidx = y3.leaf_path(1, 4)
     assert sorted(i for i, v in enumerate(w.weights) if v == 1) == sorted(eidx)
     assert all(v in (0, 1) for v in w.weights)
+    with pytest.raises(ValueError):
+        weighting_of_graph([(1, 2), (3, 3)], y3)  # a loop has no geodesic
 
 
 def test_weighting_is_additive():
@@ -169,6 +172,51 @@ def test_count_admissible_regular():
         tree = build_y_tree(n // 2)
         for d in (1, 2, 3):
             assert count_admissible_regular(tree, d) == hilbert_dim(n, d)
+
+
+def _leaves_beyond(tree, idx, start):
+    """Leaves reached from vertex ``start`` without crossing edge ``idx``."""
+    seen, stack = {start}, [start]
+    while stack:
+        v = stack.pop()
+        for jdx, w in tree.adj[v]:
+            if jdx != idx and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen & set(tree.label_of_leaf))
+
+
+def _brute_force_regular(tree, d):
+    """Every weighting with leaf edges d that passes is_admissible.
+
+    By the triangle inequalities an edge weighs at most d times the number
+    of leaves on either side of it, so that bounds each interior weight.
+    """
+    leaf_edges = {tree.adj[v][0][0] for v in tree.label_of_leaf}
+    ranges = []
+    for idx, (u, v) in enumerate(tree.edges):
+        if idx in leaf_edges:
+            ranges.append((d,))
+        else:
+            side = min(_leaves_beyond(tree, idx, u), _leaves_beyond(tree, idx, v))
+            ranges.append(range(d * side + 1))
+    out = set()
+    for weights in itertools.product(*ranges):
+        w = TreeWeighting(tree, weights)
+        if w.is_admissible():
+            out.add(w)
+    return out
+
+
+@pytest.mark.parametrize("tree", [build_y_tree(3), build_y_tree(4), build_caterpillar(4)],
+                         ids=["y3", "y4", "caterpillar4"])
+def test_weighting_dp_against_brute_force(tree):
+    for d in range(4):
+        want = _brute_force_regular(tree, d)
+        got = list(enumerate_admissible_regular(tree, d))
+        assert len(got) == len(set(got))
+        assert set(got) == want
+        assert count_admissible_regular(tree, d) == len(want)
 
 
 def test_lattice_counts_match_enumeration_at_larger_sizes():
