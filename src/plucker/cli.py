@@ -202,7 +202,7 @@ def cmd_normal_form(args) -> int:
     try:
         tup = _parse_cat_tuple(args.tuple)
         result = toric_rewriting.normal_form(tup)
-    except (ValueError, KeyError, TypeError, AssertionError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise CliParseError(str(exc)) from exc
     payload = {"command": "normal-form",
                "entries": [{"stalks": list(e.stalks), "bases": list(e.bases)}

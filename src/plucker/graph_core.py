@@ -264,6 +264,13 @@ def relabel_edges(edges, perm: dict[int, int]) -> list[Edge]:
 _GRAPH_RE = re.compile(r"^\s*n\s*=\s*(\d+)\s*;\s*edges\s*=\s*(.*)$")
 
 
+def check_labels(n: int, edges) -> None:
+    """Raise ``ValueError`` unless every endpoint lies in 1..n."""
+    for a, b in edges:
+        if not (1 <= a <= n and 1 <= b <= n):
+            raise ValueError(f"edge ({a},{b}) out of range 1..{n}")
+
+
 def parse_graph(text: str) -> tuple[int, list[Edge]]:
     """Parse ``n=<int>; edges=<a>-<b>,<a>-<b>,...`` (repetition = multiplicity)."""
     m = _GRAPH_RE.match(text.strip())
@@ -276,9 +283,7 @@ def parse_graph(text: str) -> tuple[int, list[Edge]]:
         for part in body.split(","):
             a, b = part.strip().split("-")
             edges.append((int(a), int(b)))
-    for a, b in edges:
-        if not (1 <= a <= n and 1 <= b <= n):
-            raise ValueError(f"edge ({a},{b}) out of range 1..{n}")
+    check_labels(n, edges)
     return n, edges
 
 
@@ -291,9 +296,7 @@ def parse_graph_json(text: str) -> tuple[int, list[Edge]]:
     obj = json.loads(text)
     n = int(obj["n"])
     edges = [(int(a), int(b)) for a, b in obj["edges"]]
-    for a, b in edges:
-        if not (1 <= a <= n and 1 <= b <= n):
-            raise ValueError(f"edge ({a},{b}) out of range 1..{n}")
+    check_labels(n, edges)
     return n, edges
 
 

@@ -24,6 +24,7 @@ from .graph_core import (
     Edge,
     GraphKey,
     canonicalize,
+    check_labels,
     enumerate_noncrossing_regular,
     is_regular,
     matching_key,
@@ -224,7 +225,9 @@ class RingElement:
         n = int(obj["n"])
         items = []
         for t in obj["terms"]:
-            cf = canonicalize([tuple(e) for e in t["edges"]])
+            edges = [(int(a), int(b)) for a, b in t["edges"]]
+            check_labels(n, edges)
+            cf = canonicalize(edges)
             items.append((cf.graph, Fraction(t["coeff"]) * cf.sign))
         return cls.from_terms(n, items)
 

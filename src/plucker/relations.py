@@ -173,8 +173,7 @@ def sym_basis(n: int, k: int) -> tuple[Monomial, ...]:
     return tuple(itertools.combinations_with_replacement(noncrossing_matchings(n), k))
 
 
-def coords_vector(e: SymElement, basis=None) -> dict[int, Fraction]:
-    basis = sym_basis(e.n, e.degree) if basis is None else basis
+def coords_vector(e: SymElement) -> dict[int, Fraction]:
     index = _basis_index(e.n, e.degree)
     out = {}
     for key, c in to_coords(e).items():

@@ -1,7 +1,10 @@
 """Rewriting calculus for reduced weightings on caterpillar trees.
 
 A weighting on the r-th caterpillar is stored compactly as the stalk values
-(s1..sr, left to right) plus the base-edge values (b2..b_{r-2}).  A *reduced
+(s1..sr, left to right) plus the base-edge values (b2..b_{r-2}); only the
+triangle inequalities constrain it, not parity.  Truncation halves the
+interior of a regular weighting on the r-th Y-tree into one of these and
+keeps the degree apart; untruncation is its inverse.  A *reduced
 matching* is an admissible reduced weighting with every stalk value 0 or 1;
 tuples of these are the monomials of the degenerated ring, and the operations
 here (balancing, normal forms, type vectors, the toric cubic move) implement
@@ -18,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .toric_trees import TreeWeighting, admissible_triple, build_caterpillar
+from .toric_trees import TreeWeighting, admissible_triple, build_y_tree
 
 Triple = tuple[int, int, int]
 
@@ -32,10 +35,14 @@ class CatWeighting:
     bases: tuple[int, ...]
 
     def __post_init__(self):
-        assert self.r >= 3
-        assert len(self.stalks) == self.r
-        assert len(self.bases) == max(self.r - 3, 0)
-        assert all(w >= 0 for w in self.stalks + self.bases)
+        if self.r < 3:
+            raise ValueError(f"caterpillars need r >= 3, got r = {self.r}")
+        if len(self.stalks) != self.r:
+            raise ValueError(f"need {self.r} stalk values, got {len(self.stalks)}")
+        if len(self.bases) != self.r - 3:
+            raise ValueError(f"need {self.r - 3} base values, got {len(self.bases)}")
+        if any(w < 0 for w in self.stalks + self.bases):
+            raise ValueError("weights must be non-negative")
 
     # -- local views -------------------------------------------------------
 
@@ -84,29 +91,53 @@ class CatWeighting:
                 middle.append(str(self.base(v)))
         return "(%d | %s | %d)" % (self.stalk(1), " ".join(middle), self.stalk(self.r))
 
-    def to_tree_weighting(self, degree: int = 1) -> TreeWeighting:
-        tree = build_caterpillar(self.r)
-        weights = [0] * len(tree.edges)
-        for i in range(1, self.r + 1):
-            weights[tree.stalk_edges[i]] = self.stalk(i)
-        for j in range(2, self.r - 1):
-            weights[tree.base_edges[j]] = self.base(j)
-        return TreeWeighting(tree, tuple(weights), reduced=True, degree=degree)
-
-    @classmethod
-    def from_tree_weighting(cls, w: TreeWeighting) -> "CatWeighting":
-        tree = w.tree
-        r = len(tree.stalk_edges)
-        stalks = tuple(w.weights[tree.stalk_edges[i]] for i in range(1, r + 1))
-        bases = tuple(w.weights[tree.base_edges[j]] for j in range(2, r - 1))
-        return cls(r, stalks, bases)
-
 
 def sum_weighting(tup) -> CatWeighting:
     total = tup[0]
     for entry in tup[1:]:
         total = total + entry
     return total
+
+
+# --- truncation ---------------------------------------------------------------
+
+def truncate(w: TreeWeighting) -> tuple[CatWeighting, int]:
+    """Halve the stalks and base edges of a regular Y-tree weighting.
+
+    Returns the reduced weighting on the matching caterpillar and the degree.
+    Raises ``ValueError`` off a Y-tree, on a weighting that is not regular
+    and on an odd interior weight.
+    """
+    tree = w.tree
+    r = len(tree.stalk_edges)
+    if r < 3 or tree is not build_y_tree(r):
+        raise ValueError("truncation needs a weighting on a Y-tree")
+    degrees = {w.leaf_edge_weight(l) for l in tree.leaves()}
+    if len(degrees) != 1:
+        raise ValueError("weighting is not regular")
+
+    def half(idx: int) -> int:
+        if w.weights[idx] % 2:
+            raise ValueError("odd interior weight; cannot truncate")
+        return w.weights[idx] // 2
+
+    return (CatWeighting(r, tuple(half(tree.stalk_edges[i]) for i in range(1, r + 1)),
+                         tuple(half(tree.base_edges[j]) for j in range(2, r - 1))),
+            degrees.pop())
+
+
+def untruncate(c: CatWeighting, d: int) -> TreeWeighting:
+    """Inverse of truncate: double the interior, leaf edges get the degree d."""
+    tree = build_y_tree(c.r)
+    weights = [d] * len(tree.edges)  # every edge but a stalk or base is a leaf edge
+    for i, idx in tree.stalk_edges.items():
+        weights[idx] = 2 * c.stalk(i)
+    for j, idx in tree.base_edges.items():
+        weights[idx] = 2 * c.base(j)
+    out = TreeWeighting(tree, tuple(weights))
+    if not out.is_admissible():
+        raise ValueError(f"{c} does not untruncate at degree {d}")
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -116,8 +147,8 @@ def enumerate_reduced_matchings(r: int) -> tuple[CatWeighting, ...]:
     Base values are forced into 0..2 by the triangle inequalities against the
     adjacent stalk values, so the search is a small DFS.
     """
-    tree = build_caterpillar(r)  # validates r >= 3 and keeps roles around
-    del tree
+    if r < 3:
+        raise ValueError("caterpillars need r >= 3")
     out = []
 
     def rec(v, stalks, bases, left_value):
@@ -394,7 +425,8 @@ def normal_form(tup):
     two tuples with equal sums map to equal outputs.
     """
     tup = tuple(tup)
-    assert tup, "empty tuple"
+    if not tup:
+        raise ValueError("normal_form needs a non-empty tuple")
     n = len(tup)
     r = tup[0].r
     for entry in tup:

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 
+import plucker
 from plucker.cli import (
     COMMAND_SCHEMA,
     EXIT_CRITERION_FAILED,
@@ -16,6 +20,24 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _element(*edges):
+    return json.dumps({"n": 4, "terms": [{"coeff": "1", "edges": list(edges)}]})
+
+
+# User inputs that once passed silently, failed with an assert (no message,
+# or none at all under python -O) or raised deep in the library.
+BAD_USER_INPUTS = [
+    ("straighten", _element([1, 9], [2, 4])),
+    ("straighten", _element([0, 3], [2, 4])),
+    ("evaluate", _element([1, 9], [2, 4]), "--points", "1,2,3,4"),
+    ("normal-form", '{"r":3,"entries":[{"stalks":[1,1],"bases":[]}]}'),
+    ("normal-form", '{"r":2,"entries":[{"stalks":[1,1],"bases":[]}]}'),
+    ("normal-form", '{"r":4,"entries":[{"stalks":[1,1,1,1],"bases":[]}]}'),
+    ("normal-form", '{"r":3,"entries":[{"stalks":[1,-1,0],"bases":[]}]}'),
+    ("normal-form", '{"r":3,"entries":[]}'),
+]
 
 
 def test_straighten_command(capsys):
@@ -67,6 +89,21 @@ def test_bad_inputs_exit_with_parse_code(capsys):
     assert run(capsys, "orbit-span", "--element", "{}")[0] == EXIT_PARSE
     assert run(capsys, "toric", "greedy", "--r", "3",
                "--graph", "n=6; edges=1-2,3-4,5-5")[0] == EXIT_PARSE
+    for argv in BAD_USER_INPUTS:
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_PARSE and err.startswith("error: ") and err.strip() != "error:"
+
+
+def test_bad_inputs_exit_with_parse_code_without_asserts():
+    # python -O strips assert statements, so none may guard user input
+    src = os.path.dirname(os.path.dirname(os.path.abspath(plucker.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in BAD_USER_INPUTS:
+        proc = subprocess.run([sys.executable, "-O", "-m", "plucker.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == EXIT_PARSE, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, (argv, proc.stderr)
+        assert proc.stderr.startswith("error: ") and proc.stderr.strip() != "error:"
 
 
 def test_toric_commands(capsys):

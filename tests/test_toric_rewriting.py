@@ -16,8 +16,11 @@ from plucker.toric_rewriting import (
     quadratic_neighbors,
     sum_weighting,
     toric_segre_move,
+    truncate,
     type_vector,
+    untruncate,
 )
+from plucker.toric_trees import build_y_tree
 
 
 def test_enumerate_reduced_matchings():
@@ -38,9 +41,23 @@ def test_printing_format():
 
 
 def test_tree_weighting_round_trip():
+    # a reduced matching untruncates to a degree-one Y-tree weighting and back
     for r in (3, 4, 5):
         for m in enumerate_reduced_matchings(r):
-            assert CatWeighting.from_tree_weighting(m.to_tree_weighting()) == m
+            w = untruncate(m, 1)
+            assert w.tree is build_y_tree(r) and w.is_regular(1)
+            assert truncate(w) == (m, 1)
+
+
+def test_cat_weighting_rejects_bad_shapes():
+    for args, message in (((2, (0, 0), ()), "r >= 3"),
+                          ((3, (1, 1), ()), "3 stalk values"),
+                          ((4, (1, 1, 1, 1), ()), "1 base values"),
+                          ((3, (1, -1, 0), ()), "non-negative")):
+        with pytest.raises(ValueError, match=message):
+            CatWeighting(*args)
+    with pytest.raises(ValueError):
+        normal_form(())
 
 
 def test_is_balanced():

@@ -5,9 +5,9 @@ import pytest
 
 from plucker.graph_core import enumerate_matchings
 from plucker.invariant_ring import hilbert_dim
+from plucker.toric_rewriting import CatWeighting, truncate, untruncate
 from plucker.toric_trees import (
     TreeWeighting,
-    TrivalentTree,
     build_caterpillar,
     build_y_tree,
     count_admissible_regular,
@@ -15,10 +15,7 @@ from plucker.toric_trees import (
     greedy_graph,
     level,
     toric_plucker_applicable,
-    truncate,
-    untruncate,
     weighting_of_graph,
-    zero_weighting,
 )
 
 
@@ -35,10 +32,28 @@ def test_build_shapes():
         build_caterpillar(2)
 
 
+def test_y_tree_numbering_is_pinned():
+    # greedy_graph breaks ties by vertex index, so these numbers fix the
+    # output of `plucker toric greedy`
+    y3 = build_y_tree(3)
+    assert y3.num_vertices == 10
+    assert y3.edges == ((0, 2), (0, 4), (0, 5), (1, 2), (1, 8), (1, 9),
+                        (2, 3), (3, 6), (3, 7))
+    assert y3.leaf_of_label == {1: 4, 2: 5, 3: 6, 4: 7, 5: 8, 6: 9}
+    assert y3.stalk_edges == {1: 0, 2: 6, 3: 3}
+    assert y3.base_edges == {}
+    y4 = build_y_tree(4)
+    assert y4.num_vertices == 14
+    assert y4.edges == ((0, 2), (0, 6), (0, 7), (1, 4), (1, 12), (1, 13), (2, 3),
+                        (2, 4), (3, 8), (3, 9), (4, 5), (5, 10), (5, 11))
+    assert y4.leaf_of_label == {l: l + 5 for l in range(1, 9)}
+    assert y4.stalk_edges == {1: 0, 2: 6, 3: 10, 4: 3}
+    assert y4.base_edges == {2: 7}
+
+
 def test_matched_pairs_and_labels():
     y4 = build_y_tree(4)
     assert y4.leaves() == list(range(1, 9))
-    assert y4.is_matched()
     # matched pairs are (2i-1, 2i): they share a trinode
     for i in range(1, 5):
         va = y4.leaf_of_label[2 * i - 1]
@@ -61,7 +76,7 @@ def test_level_examples():
 
 def test_weighting_of_graph_examples():
     y3 = build_y_tree(3)
-    assert weighting_of_graph([], y3) == zero_weighting(y3)
+    assert weighting_of_graph([], y3) == TreeWeighting(y3, (0,) * len(y3.edges))
     w = weighting_of_graph([(1, 4)], y3)
     verts, eidx = y3.leaf_path(1, 4)
     assert sorted(i for i, v in enumerate(w.weights) if v == 1) == sorted(eidx)
@@ -104,27 +119,21 @@ def test_trun_wt_figure():
     matching = [(1, 9), (2, 10), (5, 7), (6, 8), (3, 4)]
     assert weighting_of_graph(matching, y5) == tw
 
-    red = truncate(tw)
-    cat5 = build_caterpillar(5)
-    assert red.tree is cat5 and red.reduced and red.degree == 1
-    assert [red.weights[cat5.stalk_edges[i]] for i in range(1, 6)] == [1, 0, 1, 1, 1]
-    assert [red.weights[cat5.base_edges[j]] for j in (2, 3)] == [1, 2]
-    assert untruncate(red, y5) == tw
+    red = CatWeighting(5, (1, 0, 1, 1, 1), (1, 2))
+    assert truncate(tw) == (red, 1)
+    assert untruncate(red, 1) == tw
 
 
 def test_truncate_zero_and_additivity():
     y4 = build_y_tree(4)
-    zero2 = weighting_of_graph([], y4)
     rng = random.Random(2)
     ws = list(enumerate_admissible_regular(y4, 1))
     for _ in range(20):
         a, b = rng.choice(ws), rng.choice(ws)
-        ta, tb = truncate(a), truncate(b)
-        tsum = truncate(a + b)
-        assert tsum.weights == tuple(x + y for x, y in zip(ta.weights, tb.weights))
-    # zero weighting on the truncation side
-    t0 = truncate(TreeWeighting(y4, zero2.weights))
-    assert all(v == 0 for v in t0.weights) and t0.degree == 0
+        (ta, da), (tb, db) = truncate(a), truncate(b)
+        assert truncate(a + b) == (ta + tb, da + db)
+    # the zero weighting truncates to zero at degree 0
+    assert truncate(weighting_of_graph([], y4)) == (CatWeighting(4, (0,) * 4, (0,)), 0)
 
 
 def test_truncate_rejects_odd_interior():
@@ -139,6 +148,29 @@ def test_truncate_rejects_odd_interior():
     w = TreeWeighting(y3, tuple(weights))
     with pytest.raises(ValueError):
         truncate(w)
+
+
+def test_truncate_rejects_other_inputs():
+    y3 = build_y_tree(3)
+    with pytest.raises(ValueError, match="not regular"):
+        truncate(weighting_of_graph([(1, 2)], y3))
+    cat = build_caterpillar(3)
+    with pytest.raises(ValueError, match="Y-tree"):
+        truncate(TreeWeighting(cat, (0,) * len(cat.edges)))
+    with pytest.raises(ValueError, match="degree"):
+        untruncate(CatWeighting(3, (1, 1, 0), ()), 0)
+
+
+def test_truncate_round_trips_on_y_trees():
+    for r in (3, 4, 5):
+        tree = build_y_tree(r)
+        for d in (1, 2):
+            for w in enumerate_admissible_regular(tree, d):
+                interior = [w.weights[i] for i in
+                            [*tree.stalk_edges.values(), *tree.base_edges.values()]]
+                if all(x % 2 == 0 for x in interior):
+                    c, degree = truncate(w)
+                    assert degree == d and untruncate(c, d) == w
 
 
 def test_greedy_examples():
@@ -251,19 +283,3 @@ def test_toric_plucker_level_identities():
         g1, g2, g3 = [(a, b), (c, d)], [(a, c), (b, d)], [(a, d), (b, c)]
         assert weighting_of_graph(g1, tree) == weighting_of_graph(g2, tree)
         assert level(g1, tree) == level(g2, tree) > level(g3, tree)
-
-
-def test_tree_serialization_round_trip():
-    y3 = build_y_tree(3)
-    text = y3.serialize()
-    parsed = TrivalentTree.parse(text)
-    assert parsed.edges == y3.edges
-    assert parsed.leaf_of_label == y3.leaf_of_label
-    w = weighting_of_graph([(1, 2)], y3)
-    assert "weights=" in w.serialize()
-    back = TreeWeighting.parse(w.serialize())
-    assert back.weights == w.weights and back.tree.edges == y3.edges
-    with pytest.raises(ValueError):
-        TrivalentTree.parse("not a tree")
-    with pytest.raises(ValueError):
-        TreeWeighting.parse(y3.serialize())
