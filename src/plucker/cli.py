@@ -15,7 +15,7 @@ import sys
 import time
 
 from . import reports, symmetry_rep, toric_rewriting, toric_trees
-from .graph_core import graph_to_json, parse_graph, parse_graph_json
+from .graph_core import graph_to_json, json_int, parse_graph, parse_graph_json
 from .invariant_ring import (
     FuelExhausted,
     PointConfig,
@@ -189,12 +189,12 @@ def cmd_toric(args) -> int:
 
 def _parse_cat_tuple(text: str):
     obj = json.loads(_read_arg(text))
-    r = int(obj["r"])
+    r = json_int(obj["r"], "r")
     entries = []
     for ent in obj["entries"]:
         entries.append(toric_rewriting.CatWeighting(
-            r, tuple(int(v) for v in ent["stalks"]),
-            tuple(int(v) for v in ent.get("bases", ()))))
+            r, tuple(json_int(v, "stalk weight") for v in ent["stalks"]),
+            tuple(json_int(v, "base weight") for v in ent.get("bases", ()))))
     return tuple(entries)
 
 

@@ -10,11 +10,19 @@ rows of an ``IncrementalSpan``:
   in insertion order, against the pivots whose columns it touches; fill-in
   can only add later pivot columns.
 - A reduction step updates the row in place, ``row = (p/g)*row - (q/g)*piv``
-  with ``g = gcd(p, q)``, and then divides out the row's content.
-- The pivot column of a new row is the column that the fewest pivot rows
-  touch (a Markowitz column count, as in structured Gaussian elimination),
-  ties going to the smallest column.  This limits fill-in and keeps runs
-  deterministic.
+  with ``g = gcd(p, q)``.  The row's content is divided out once, after the
+  last step; a primitive row with a positive pivot entry is unique, so the
+  stored pivot rows are the same as with a division after every step.
+- The pivot column depends on the path a row takes:
+  - ``IncrementalSpan.add`` (and so ``span_dim`` and ``span_contains``)
+    takes the largest column of the reduced row.  Every pivot row is then
+    zero above its pivot column, which keeps the fill-in of a long stream of
+    rows, such as an orbit scan, low.
+  - The batch path behind ``rank``, ``rref`` and ``kernel_basis`` takes the
+    column that the fewest pivot rows touch (a Markowitz column count, as in
+    structured Gaussian elimination), ties going to the smallest column.  On
+    a whole sparse matrix this is far cheaper than the largest column.
+  Both rules are deterministic.
 
 ``rank``, ``rref``/``kernel_basis`` and the ``span_*`` helpers are thin
 wrappers over the kernel.
@@ -110,16 +118,16 @@ class IncrementalSpan:
     """Grow a row space one vector at a time, tracking its dimension.
 
     ``add`` reduces the vector against the pivot rows and returns True when
-    it enlarged the span.  Used for orbit-span computations where early
-    termination at a known target rank saves a lot of work.  ``pivots`` maps
-    each pivot column to its primitive integer row, newest last.
+    it enlarged the span; the new pivot row's pivot is its largest column.
+    Used for orbit-span computations where early termination at a known
+    target rank saves a lot of work.  ``pivots`` maps each pivot column to
+    its primitive integer row, with a positive pivot entry, newest last.
     """
 
     def __init__(self, cols: int):
         self.cols = cols
         self.pivots: dict[int, dict[int, int]] = {}
         self._index: dict[int, int] = {}  # pivot column -> insertion position
-        self._uses: dict[int, int] = {}  # column -> pivot rows nonzero there
 
     @property
     def dim(self) -> int:
@@ -128,7 +136,8 @@ class IncrementalSpan:
     def _reduce(self, row: dict[int, int]) -> dict[int, int]:
         """Reduce a primitive integer row in place; zero at every pivot column.
 
-        A heap of insertion positions yields the pivots the row touches.
+        A heap of insertion positions yields the pivots the row touches.  The
+        result is primitive again.
         """
         pivots, index = self.pivots, self._index
         todo = [(index[c], c) for c in row.keys() & index.keys()]
@@ -159,41 +168,41 @@ class IncrementalSpan:
                     else:
                         del row[c]
             if not row:
-                break
-            _remove_content(row)
+                return row
+        _remove_content(row)
         return row
 
-    def _insert(self, row: dict[int, int]) -> bool:
-        """Reduce a primitive integer row and keep it if it is not zero."""
-        row = self._reduce(row)
-        if not row:
-            return False
-        uses = self._uses
-        col = min(row, key=lambda c: (uses.get(c, 0), c))
-        # A fresh dict, with a positive pivot entry: in-place updates leave a
-        # row's table as large as the row ever grew.
-        sign = 1 if row[col] > 0 else -1
-        self._keep(col, {c: sign * v for c, v in row.items()})
-        return True
-
     def _keep(self, col: int, row: dict[int, int]) -> None:
+        """Store a reduced row as the pivot row of ``col``.
+
+        A fresh dict, with a positive pivot entry: in-place updates leave a
+        row's table as large as the row ever grew.
+        """
+        sign = 1 if row[col] > 0 else -1
         self._index[col] = len(self.pivots)
-        self.pivots[col] = row
-        uses = self._uses
-        for c in row:
-            uses[c] = uses.get(c, 0) + 1
+        self.pivots[col] = {c: sign * v for c, v in row.items()}
 
     def add(self, vector) -> bool:
-        return self._insert(_int_row(vector))
+        row = self._reduce(_int_row(vector))
+        if not row:
+            return False
+        self._keep(max(row), row)
+        return True
 
     def contains(self, vector) -> bool:
         return not self._reduce(_int_row(vector))
 
 
 def _row_space(m: QMatrix) -> IncrementalSpan:
+    """Row space of a matrix, each pivot on the column fewest pivot rows touch."""
     span = IncrementalSpan(m.cols)
+    uses: dict[int, int] = {}  # column -> pivot rows nonzero there
     for row in m.row_dicts():
-        span._insert(_int_row(row))
+        row = span._reduce(_int_row(row))
+        if row:
+            span._keep(min(row, key=lambda c: (uses.get(c, 0), c)), row)
+            for c in row:
+                uses[c] = uses.get(c, 0) + 1
     return span
 
 

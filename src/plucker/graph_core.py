@@ -264,6 +264,18 @@ def relabel_edges(edges, perm: dict[int, int]) -> list[Edge]:
 _GRAPH_RE = re.compile(r"^\s*n\s*=\s*(\d+)\s*;\s*edges\s*=\s*(.*)$")
 
 
+def json_int(value, what: str) -> int:
+    """An integer read from JSON; ``ValueError`` on a float, bool or string."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_edges(edges) -> list[Edge]:
+    """Edges ``[[a, b], ...]`` read from JSON, with integer endpoints."""
+    return [(json_int(a, "edge label"), json_int(b, "edge label")) for a, b in edges]
+
+
 def check_labels(n: int, edges) -> None:
     """Raise ``ValueError`` unless every endpoint lies in 1..n."""
     for a, b in edges:
@@ -294,8 +306,8 @@ def graph_to_text(n: int, edges) -> str:
 def parse_graph_json(text: str) -> tuple[int, list[Edge]]:
     """JSON mirror of the text format: ``{"n":8,"edges":[[1,2],[3,4]]}``."""
     obj = json.loads(text)
-    n = int(obj["n"])
-    edges = [(int(a), int(b)) for a, b in obj["edges"]]
+    n = json_int(obj["n"], "n")
+    edges = json_edges(obj["edges"])
     check_labels(n, edges)
     return n, edges
 

@@ -27,6 +27,8 @@ from .graph_core import (
     check_labels,
     enumerate_noncrossing_regular,
     is_regular,
+    json_edges,
+    json_int,
     matching_key,
     orientation_sign,
     valences,
@@ -222,10 +224,10 @@ class RingElement:
     @classmethod
     def from_json(cls, text: str) -> "RingElement":
         obj = json.loads(text)
-        n = int(obj["n"])
+        n = json_int(obj["n"], "n")
         items = []
         for t in obj["terms"]:
-            edges = [(int(a), int(b)) for a, b in t["edges"]]
+            edges = json_edges(t["edges"])
             check_labels(n, edges)
             cf = canonicalize(edges)
             items.append((cf.graph, Fraction(t["coeff"]) * cf.sign))

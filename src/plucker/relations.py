@@ -18,12 +18,15 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from . import exact_linalg
 from .graph_core import (
     GraphKey,
     canonicalize,
     connected_component_partition,
+    json_edges,
+    json_int,
     matching_key,
     noncrossing_matchings,
     orientation_sign,
@@ -59,7 +62,8 @@ class SymElement:
         acc: dict[Monomial, Fraction] = {}
         for key, coeff in items:
             key = tuple(sorted(matching_key(m) for m in key))
-            assert len(key) == degree
+            if len(key) != degree:
+                raise ValueError(f"monomial of {len(key)} matchings in degree {degree}")
             coeff = Fraction(coeff)
             if coeff:
                 acc[key] = acc.get(key, Fraction(0)) + coeff
@@ -116,9 +120,10 @@ class SymElement:
         obj = json.loads(text)
         items = []
         for t in obj["terms"]:
-            mono = tuple(tuple(tuple(e) for e in m) for m in t["monomial"])
+            mono = tuple(tuple(json_edges(m)) for m in t["monomial"])
             items.append((mono, Fraction(t["coeff"])))
-        return cls.from_terms(int(obj["n"]), int(obj["degree"]), items)
+        return cls.from_terms(json_int(obj["n"], "n"),
+                              json_int(obj["degree"], "degree"), items)
 
 
 def project_to_ring(e: SymElement) -> RingElement:
@@ -154,17 +159,24 @@ def evaluate_sym(e: SymElement, config) -> Fraction:
 
 
 def to_coords(e: SymElement) -> dict[Monomial, Fraction]:
-    """Coordinates in the Sym^k basis of multisets of non-crossing matchings."""
-    acc: dict[Monomial, Fraction] = {}
+    """Coordinates in the Sym^k basis of multisets of non-crossing matchings.
+
+    The expansions have integer coefficients, so each term's products are
+    summed as integers over the common denominator of the input's
+    coefficients, and each output entry becomes one ``Fraction``.
+    """
+    denom = lcm(*(c.denominator for c in e.terms.values()))
+    acc: dict[Monomial, int] = {}
     for mono, coeff in e.terms.items():
-        expansions = [matching_in_y_basis(e.n, m) for m in mono]
-        for combo in itertools.product(*[ex.items() for ex in expansions]):
+        num = coeff.numerator * (denom // coeff.denominator)
+        expansions = [matching_in_y_basis(e.n, m).items() for m in mono]
+        for combo in itertools.product(*expansions):
             key = tuple(sorted(g for g, _ in combo))
-            c = coeff
+            c = num
             for _, a in combo:
                 c *= a
-            acc[key] = acc.get(key, Fraction(0)) + c
-    return {k: v for k, v in acc.items() if v}
+            acc[key] = acc.get(key, 0) + c
+    return {k: Fraction(v, denom) for k, v in acc.items() if v}
 
 
 @lru_cache(maxsize=None)
@@ -293,7 +305,8 @@ class BinomialQuadDatum:
     def validate(self) -> None:
         l1 = matching_key(self.layer1)
         l2 = matching_key(self.layer2)
-        assert set(self.u) <= set(range(1, self.n + 1))
+        if not set(self.u) <= set(range(1, self.n + 1)):
+            raise ValueError(f"U = {sorted(self.u)} is not inside 1..{self.n}")
         for a, b in l1 + l2:
             if (a in self.u) != (b in self.u):
                 raise ValueError(f"edge ({a},{b}) crosses U")
@@ -310,9 +323,10 @@ class BinomialQuadDatum:
 
     @classmethod
     def from_json_dict(cls, obj) -> "BinomialQuadDatum":
-        return cls(int(obj["n"]), frozenset(int(v) for v in obj["U"]),
-                   matching_key([tuple(e) for e in obj["color1"]]),
-                   matching_key([tuple(e) for e in obj["color2"]]))
+        return cls(json_int(obj["n"], "n"),
+                   frozenset(json_int(v, "U label") for v in obj["U"]),
+                   matching_key(json_edges(obj["color1"])),
+                   matching_key(json_edges(obj["color2"])))
 
 
 def simple_binomial(d: BinomialQuadDatum) -> SymElement:
@@ -468,12 +482,13 @@ class GenSegreDatum:
 
     @classmethod
     def from_json_dict(cls, obj) -> "GenSegreDatum":
-        parts = [frozenset(obj[k]) for k in ("UR", "UG", "UB")]
+        parts = [frozenset(json_int(v, f"{k} label") for v in obj[k])
+                 for k in ("UR", "UG", "UB")]
         n = sum(len(p) for p in parts)
         return cls(n, parts[0], parts[1], parts[2],
-                   matching_key([tuple(e) for e in obj["red"]]),
-                   matching_key([tuple(e) for e in obj["green"]]),
-                   matching_key([tuple(e) for e in obj["blue"]]))
+                   matching_key(json_edges(obj["red"])),
+                   matching_key(json_edges(obj["green"])),
+                   matching_key(json_edges(obj["blue"])))
 
 
 def generalized_segre(s: GenSegreDatum) -> SymElement:
@@ -511,7 +526,8 @@ class SquareRotationDatum:
 
     def validate(self) -> None:
         uset = set(self.u)
-        assert len(uset) == 4 and uset <= set(range(1, self.n + 1))
+        if len(self.u) != 4 or len(uset) != 4 or not uset <= set(range(1, self.n + 1)):
+            raise ValueError(f"U = {list(self.u)} must be 4 distinct labels in 1..{self.n}")
         pv = valences(self.n, self.purple)
         bv = valences(self.n, self.black)
         for v in range(1, self.n + 1):
@@ -546,9 +562,10 @@ class SquareRotationDatum:
 
     @classmethod
     def from_json_dict(cls, obj) -> "SquareRotationDatum":
-        return cls(int(obj["n"]), tuple(int(v) for v in obj["U"]),
-                   canonicalize([tuple(e) for e in obj["purple"]]).graph,
-                   canonicalize([tuple(e) for e in obj["black"]]).graph)
+        return cls(json_int(obj["n"], "n"),
+                   tuple(json_int(v, "U label") for v in obj["U"]),
+                   canonicalize(json_edges(obj["purple"])).graph,
+                   canonicalize(json_edges(obj["black"])).graph)
 
 
 def square_rotation(p: SquareRotationDatum) -> SymElement:
@@ -613,10 +630,12 @@ def ideal_kernel_basis(n: int, k: int) -> list[list[Fraction]]:
     return exact_linalg.kernel_basis(relation_matrix(n, k))
 
 
-def quadratic_ideal_component(n: int, k: int = 3):
-    """Spanning set and dimension of Q^(k): V-multiples of quadratic relations."""
-    if k != 3:
-        raise ValueError("only the cubic component of Q is implemented")
+@lru_cache(maxsize=None)
+def _quadratic_ideal_span(n: int):
+    """V-multiples of the quadratic relations and their span, built once per n.
+
+    Shared by every caller; none may add to the span or change a vector.
+    """
     if n > 8:
         raise ValueError("feasibility guard: n <= 8")
     quads = ideal_kernel_basis(n, 2)
@@ -637,15 +656,22 @@ def quadratic_ideal_component(n: int, k: int = 3):
     span = exact_linalg.IncrementalSpan(len(sym_basis(n, 3)))
     for vec in vectors:
         span.add(vec)
-    return vectors, span.dim
+    return tuple(vectors), span
+
+
+def quadratic_ideal_component(n: int, k: int = 3):
+    """Spanning set and dimension of Q^(k): V-multiples of quadratic relations."""
+    if k != 3:
+        raise ValueError("only the cubic component of Q is implemented")
+    vectors, span = _quadratic_ideal_span(n)
+    return [dict(vec) for vec in vectors], span.dim
 
 
 def in_quadratic_ideal(e: SymElement) -> bool:
     """Membership of a cubic element in Q^(3), by exact span arithmetic."""
-    vectors, _ = quadratic_ideal_component(e.n, 3)
-    span = exact_linalg.IncrementalSpan(len(sym_basis(e.n, 3)))
-    for vec in vectors:
-        span.add(vec)
+    if e.degree != 3:
+        raise ValueError(f"Q^(3) holds cubic elements, got degree {e.degree}")
+    _, span = _quadratic_ideal_span(e.n)
     return span.contains(coords_vector(e))
 
 

@@ -37,6 +37,28 @@ BAD_USER_INPUTS = [
     ("normal-form", '{"r":4,"entries":[{"stalks":[1,1,1,1],"bases":[]}]}'),
     ("normal-form", '{"r":3,"entries":[{"stalks":[1,-1,0],"bases":[]}]}'),
     ("normal-form", '{"r":3,"entries":[]}'),
+    ("orbit-span", "--element", json.dumps(
+        {"n": 8, "degree": 2,
+         "terms": [{"coeff": "1", "monomial": [[[1, 2], [3, 4], [5, 6], [7, 8]]]}]})),
+    ("relation", "verify", "simple", "--data", json.dumps(
+        {"n": 8, "U": [1, 2, 3, 4, 99],
+         "color1": [[1, 2], [3, 4], [5, 6], [7, 8]],
+         "color2": [[1, 4], [2, 3], [5, 7], [6, 8]]})),
+    ("relation", "verify", "square-rotation", "--data", json.dumps(
+        {"n": 8, "U": [1, 2, 3, 99], "purple": [[1, 2]], "black": [[1, 2]]})),
+    ("relation", "verify", "square-rotation", "--data", json.dumps(
+        {"n": 8, "U": [1, 2, 3, 4, 5], "purple": [[1, 2]], "black": [[1, 2]]})),
+    ("relation", "verify", "square-rotation", "--data", json.dumps(
+        {"n": 8, "U": [1, 2, 3, 3], "purple": [[1, 2]], "black": [[1, 2]]})),
+    # JSON integers only: no floats, bools or numeric strings
+    ("straighten", '{"n":4,"edges":[[1.9,3],[2,4]]}'),
+    ("straighten", '{"n":4.0,"edges":[[1,3],[2,4]]}'),
+    ("straighten", '{"n":true,"edges":[[1,3],[2,4]]}'),
+    ("straighten", _element(["1", 3], [2, 4])),
+    ("orbit-span", "--element", '{"n":8.0,"degree":2,"terms":[]}'),
+    ("normal-form", '{"r":3.7,"entries":[{"stalks":"111"}]}'),
+    ("normal-form", '{"r":3,"entries":[{"stalks":"111"}]}'),
+    ("normal-form", '{"r":3,"entries":[{"stalks":[1,1,true]}]}'),
 ]
 
 

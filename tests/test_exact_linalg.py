@@ -89,10 +89,24 @@ def test_incremental_span():
 
 
 def test_pivot_column_is_the_least_used():
+    # rank, rref and kernel_basis: the column fewest pivot rows touch
+    m = QMatrix.from_rows([[1, 1, 0], [0, -2, 2]])
+    # column 1 is in one pivot row, column 2 in none
+    assert rref(m) == ([{0: 1, 1: 1}, {1: -1, 2: 1}], [0, 2])
+    assert rank(m) == 2
+
+
+def test_span_add_pivots_on_the_largest_column():
     span = IncrementalSpan(3)
     span.add([1, 1, 0])
-    span.add([0, -2, 2])  # column 1 is in one pivot row, column 2 in none
-    assert span.pivots == {0: {0: 1, 1: 1}, 2: {1: -1, 2: 1}}
+    span.add([0, -2, 2])  # reduced to (2, 0, 2), then made primitive
+    assert span.pivots == {1: {0: 1, 1: 1}, 2: {0: 1, 2: 1}}
+    rng = random.Random(2)
+    span = IncrementalSpan(8)
+    for _ in range(12):
+        span.add({c: rng.randint(-3, 3) for c in rng.sample(range(8), 3)})
+    for col, row in span.pivots.items():
+        assert col == max(row) and row[col] > 0
 
 
 def test_frozen_matrix_rejects_writes():

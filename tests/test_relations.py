@@ -372,6 +372,24 @@ def test_quadratic_ideal_component():
     assert ideal_component_dim(8, 3) == 196
 
 
+def test_quadratic_ideal_span_is_built_once_and_shared():
+    from plucker.relations import _quadratic_ideal_span
+
+    vecs, dim = quadratic_ideal_component(8)
+    builds = _quadratic_ideal_span.cache_info().misses
+    count = len(vecs)
+    vecs[0].clear()
+    vecs.clear()
+    assert in_quadratic_ideal(square_rotation(square_rotation_even_datum()))
+    layer = ((1, 2), (3, 4), (5, 6), (7, 8))
+    assert not in_quadratic_ideal(SymElement.monomial(8, (layer,) * 3))
+    vecs, dim = quadratic_ideal_component(8)
+    assert (len(vecs), dim) == (count, 196) and all(vecs)
+    assert _quadratic_ideal_span.cache_info().misses == builds
+    with pytest.raises(ValueError):
+        in_quadratic_ideal(SymElement.monomial(8, (layer,) * 2))
+
+
 def test_count_good_bipartitions():
     assert count_good_bipartitions(10) == 25
     assert count_good_bipartitions(12) == 112
@@ -406,3 +424,19 @@ def test_to_coords_agrees_with_projection():
         coords = to_coords(e)
         rebuilt = SymElement.from_terms(6, 3, list(coords.items()))
         assert project_to_ring(rebuilt) == project_to_ring(e)
+
+
+def test_to_coords_with_fractional_coefficients():
+    # integer accumulation over a common denominator, checked by evaluation
+    rng = random.Random(7)
+    matchings = enumerate_matchings(8)
+    for _ in range(10):
+        e = SymElement.from_terms(8, 2, [
+            (tuple(rng.choice(matchings) for _ in range(2)), Fraction(1, 2)),
+            (tuple(rng.choice(matchings) for _ in range(2)), Fraction(-3, 4))])
+        coords = to_coords(e)
+        assert coords and all(isinstance(c, Fraction) and c for c in coords.values())
+        rebuilt = SymElement.from_terms(8, 2, list(coords.items()))
+        for _ in range(3):
+            p = random_config(8, rng)
+            assert evaluate_sym(rebuilt, p) == evaluate_sym(e, p)
