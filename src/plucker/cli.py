@@ -146,8 +146,6 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
-    if args.n < 2 or args.n % 2 or args.degree < 0:
-        raise CliParseError("need even n >= 2 and degree >= 0")
     dim = hilbert_dim(args.n, args.degree)
     _print({"command": "hilbert", "n": args.n, "d": args.degree, "dim": dim},
            args.json, str(dim))

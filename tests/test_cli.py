@@ -59,6 +59,9 @@ BAD_USER_INPUTS = [
     ("normal-form", '{"r":3.7,"entries":[{"stalks":"111"}]}'),
     ("normal-form", '{"r":3,"entries":[{"stalks":"111"}]}'),
     ("normal-form", '{"r":3,"entries":[{"stalks":[1,1,true]}]}'),
+    ("decompose", "-2", "V"),
+    ("decompose", "16", "V"),
+    ("hilbert", "2", "1000000000"),
 ]
 
 
@@ -93,6 +96,8 @@ def test_hilbert_and_ideal_dim(capsys):
     assert code == 0 and json.loads(out) == {
         "command": "hilbert", "n": 8, "d": 1, "dim": 14}
     jsonschema.validate(json.loads(out), COMMAND_SCHEMA)
+    assert run(capsys, "hilbert", "4", "3000")[:2] == (0, "3001\n")
+    assert run(capsys, "hilbert", "12", "30")[:2] == (0, "4957237676831\n")
     code, out, _ = run(capsys, "ideal-dim", "8", "2", "--json")
     assert code == 0 and json.loads(out)["dim"] == 14
     jsonschema.validate(json.loads(out), COMMAND_SCHEMA)

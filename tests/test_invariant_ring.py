@@ -8,12 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plucker.invariant_ring as ir
-from plucker.graph_core import catalan, crossing, enumerate_matchings
+from plucker.graph_core import (
+    catalan,
+    crossing,
+    enumerate_matchings,
+    enumerate_noncrossing_regular,
+)
 from plucker.invariant_ring import (
     FuelExhausted,
     PointConfig,
     RingElement,
     StraightenCache,
+    degree_trace,
     evaluate,
     first_crossing_pair,
     hilbert_dim,
@@ -24,6 +30,8 @@ from plucker.invariant_ring import (
     x_of,
     y_of,
 )
+from plucker.symmetry_rep import partitions
+from plucker.toric_trees import build_y_tree, count_admissible_regular
 
 
 def rand_config(n, rng):
@@ -149,12 +157,42 @@ def test_hilbert_dims():
     assert hilbert_dim(6, 3) == 34
     for n in (2, 4, 6, 8, 10):
         assert hilbert_dim(n, 1) == catalan(n // 2)
+    # three independent routes: trace formula, enumeration, toric tree DP
+    for n in range(2, 13, 2):
+        for d in range(4):
+            count = len(enumerate_noncrossing_regular(n, d))
+            assert hilbert_dim(n, d) == count
+            if n >= 6:
+                assert count_admissible_regular(build_y_tree(n // 2), d) == count
+
+
+def _dict_trace(mu, k):
+    """prod over cycles c of chi_k(t^c) as an exponent -> coefficient dict."""
+    poly = {0: 1}
+    for c in mu:
+        new = {}
+        for e, v in poly.items():
+            for j in range(k + 1):
+                f = e + c * (k - 2 * j)
+                new[f] = new.get(f, 0) + v
+        poly = new
+    return poly.get(0, 0) - poly.get(2, 0)
+
+
+def test_degree_trace_against_dict_product():
+    for n in range(11):
+        for mu in partitions(n):
+            for k in range(6):
+                assert degree_trace(mu, k) == _dict_trace(mu, k), (mu, k)
 
 
 def test_hilbert_dim_rejects_bad_inputs():
-    for n, d in ((5, 1), (0, 1), (6, -1)):
+    for n, d in ((5, 1), (0, 1), (6, -1), (2, 10**9)):
         with pytest.raises(ValueError):
             hilbert_dim(n, d)
+    for mu, k in (((1, 1), -1), ((2, 0), 1)):
+        with pytest.raises(ValueError):
+            degree_trace(mu, k)
 
 
 def _first_crossing_pair_oracle(edges):

@@ -4,14 +4,22 @@ from fractions import Fraction
 
 import pytest
 
-from plucker.graph_core import enumerate_matchings
-from plucker.invariant_ring import RingElement, x_of
+from plucker.graph_core import (
+    canonicalize,
+    enumerate_matchings,
+    enumerate_noncrossing_regular,
+    noncrossing_matchings,
+    perm_sign_of_map,
+)
+from plucker.invariant_ring import RingElement, straighten_graph, x_of
 from plucker.relations import (
     SymElement,
     component_partition_of_monomial,
+    matching_in_y_basis,
     sym_basis,
 )
 from plucker.symmetry_rep import (
+    SPACES,
     ClassFunction,
     act,
     act_ring,
@@ -131,14 +139,60 @@ def test_v_character():
     assert decompose(chi8) == {(4, 4): 1}
 
 
+def _straightening_traces(n, perm):
+    """Reference traces of perm on the five spaces, by straightening.
+
+    V's matrix is the sign-twisted action on the non-crossing Y-basis; the
+    traces on Sym^2 V and Lambda^2 V come from its entries, and R2's from
+    straightening the relabeled non-crossing 2-regular graphs.
+    """
+    twist = perm_sign_of_map(perm)
+    basis = noncrossing_matchings(n)
+    col = {}
+    for m in basis:
+        img = canonicalize([(perm[a], perm[b]) for a, b in m]).graph
+        col[m] = {g: twist * c for g, c in matching_in_y_basis(n, img).items()}
+    entry = {(g, m): col[m].get(g, 0) for g in basis for m in basis}
+    v = sum(entry[m, m] for m in basis)
+    sym2 = sum(entry[m, m] ** 2 for m in basis)
+    lam2 = 0
+    for mi, mj in itertools.combinations(basis, 2):
+        diag = entry[mi, mi] * entry[mj, mj]
+        off = entry[mj, mi] * entry[mi, mj]
+        sym2 += diag + off
+        lam2 += diag - off
+    r2 = 0
+    for g in enumerate_noncrossing_regular(n, 2):
+        cf = canonicalize([(perm[a], perm[b]) for a, b in g])
+        r2 += cf.sign * straighten_graph(n, cf.graph).get(g, 0)
+    return {"V": v, "Sym2V": sym2, "Lam2V": lam2, "R2": r2, "I2": sym2 - r2}
+
+
+def test_characters_match_straightening_traces():
+    for n in (4, 6, 8):
+        chars = {space: character_of_action(n, space) for space in SPACES}
+        for mu in partitions(n):
+            want = _straightening_traces(n, representative_of_type(mu))
+            assert {space: chars[space](mu) for space in SPACES} == want, mu
+
+
 def test_representation_table():
-    for n in (6, 8):
+    for n in (6, 8, 10, 12):
         for space in ("Sym2V", "Lam2V", "R2", "I2"):
             dec = decompose(character_of_action(n, space))
             assert set(dec) == expected_partition_set(n, space)
             assert all(v == 1 for v in dec.values())
+    # I2_14 has three parts whose dimensions sum to its measured rank
+    chi = character_of_action(14, "I2")
+    i2_14 = {(4, 4, 4, 2): 1, (6, 4, 2, 2): 1, (8, 2, 2, 2): 1}
+    assert decompose(chi) == i2_14
+    assert [hook_length_dim(lam) for lam in i2_14] == [12_012, 42_042, 7_644]
+    assert chi((1,) * 14) == 61_698
     with pytest.raises(ValueError):
-        character_of_action(10, "V")
+        character_of_action(16, "V")
+    for n in (-2, 0, 7):
+        with pytest.raises(ValueError):
+            character_of_action(n, "V")
     with pytest.raises(ValueError):
         character_of_action(6, "nope")
 
