@@ -1,8 +1,10 @@
 """Exact rational sparse linear algebra: rank, kernel, span membership.
 
 Everything is over Q with arbitrary-precision arithmetic; no floats anywhere.
-All elimination goes through one row-major, fraction-free kernel, the pivot
-rows of an ``IncrementalSpan``:
+A vector is a dict ``{col: value}`` that never stores a zero: ``matvec``,
+``kernel_basis``, ``rref`` and ``IncrementalSpan`` all take or return this
+one format, and no dense list is built.  All elimination goes through one
+row-major, fraction-free kernel, the pivot rows of an ``IncrementalSpan``:
 
 - Rows are primitive integer rows: denominators cleared, content divided out.
 - Pivot rows are kept in insertion order, keyed by pivot column, and each one
@@ -14,18 +16,18 @@ rows of an ``IncrementalSpan``:
   last step; a primitive row with a positive pivot entry is unique, so the
   stored pivot rows are the same as with a division after every step.
 - The pivot column depends on the path a row takes:
-  - ``IncrementalSpan.add`` (and so ``span_dim`` and ``span_contains``)
-    takes the largest column of the reduced row.  Every pivot row is then
-    zero above its pivot column, which keeps the fill-in of a long stream of
-    rows, such as an orbit scan, low.
+  - ``IncrementalSpan.add`` takes the largest column of the reduced row.
+    Every pivot row is then zero above its pivot column, which keeps the
+    fill-in of a long stream of rows, such as an orbit scan, low.
   - The batch path behind ``rank``, ``rref`` and ``kernel_basis`` takes the
     column that the fewest pivot rows touch (a Markowitz column count, as in
     structured Gaussian elimination), ties going to the smallest column.  On
     a whole sparse matrix this is far cheaper than the largest column.
   Both rules are deterministic.
 
-``rank``, ``rref``/``kernel_basis`` and the ``span_*`` helpers are thin
-wrappers over the kernel.
+``rank`` and ``rref``/``kernel_basis`` are thin wrappers over the kernel;
+the dimension of a span and membership in it are ``IncrementalSpan.dim`` and
+``IncrementalSpan.contains`` on a span grown with ``add``.
 """
 
 from __future__ import annotations
@@ -89,10 +91,9 @@ class QMatrix:
         return f"QMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
 
 
-def _int_row(vector) -> dict[int, int]:
-    """Primitive integer row of a rational vector, dense or ``{col: value}``."""
-    items = vector.items() if isinstance(vector, dict) else enumerate(vector)
-    row = {c: Fraction(v) for c, v in items if v}
+def _int_row(vector: dict[int, Fraction]) -> dict[int, int]:
+    """Primitive integer row of a rational vector ``{col: value}``."""
+    row = {c: Fraction(v) for c, v in vector.items() if v}
     denom = lcm(*(v.denominator for v in row.values()))
     row = {c: v.numerator * (denom // v.denominator) for c, v in row.items()}
     _remove_content(row)
@@ -106,19 +107,20 @@ def _remove_content(row: dict[int, int]) -> None:
             row[c] //= g
 
 
-def matvec(m: QMatrix, v) -> list[Fraction]:
-    out = [Fraction(0)] * m.rows
+def matvec(m: QMatrix, v: dict[int, Fraction]) -> dict[int, Fraction]:
+    """m.v for a vector ``{col: value}``, as ``{row: value}`` without zeros."""
+    out: dict[int, Fraction] = {}
     for (r, c), val in m.entries.items():
-        if v[c]:
-            out[r] += val * v[c]
-    return out
+        if c in v:
+            out[r] = out.get(r, 0) + val * v[c]
+    return {r: x for r, x in out.items() if x}
 
 
 class IncrementalSpan:
     """Grow a row space one vector at a time, tracking its dimension.
 
-    ``add`` reduces the vector against the pivot rows and returns True when
-    it enlarged the span; the new pivot row's pivot is its largest column.
+    ``add`` reduces a vector ``{col: value}`` against the pivot rows and
+    returns True when it enlarged the span; the new pivot row's pivot is its largest column.
     Used for orbit-span computations where early termination at a known
     target rank saves a lot of work.  ``pivots`` maps each pivot column to
     its primitive integer row, with a positive pivot entry, newest last.
@@ -233,40 +235,20 @@ def rref(m: QMatrix):
     return rows, pivot_cols
 
 
-def kernel_basis(m: QMatrix) -> list[list[Fraction]]:
-    """Basis of the right kernel; m.v = 0 exactly for every returned v."""
+def kernel_basis(m: QMatrix) -> list[dict[int, Fraction]]:
+    """Basis of the right kernel, one ``{col: value}`` per free column.
+
+    Built in one pass over the ``rref`` rows: the vector of free column f
+    starts as ``{f: 1}``, and the row with pivot p puts ``-row[f]`` at p in
+    the vector of every free column f it touches.  The work is the number of
+    nonzeros of the rows; m.v = 0 exactly for every returned v, and the
+    vectors come in increasing order of their free column.
+    """
     frows, pivot_cols = rref(m)
     pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        v = [Fraction(0)] * m.cols
-        v[fc] = Fraction(1)
-        for row, pc in zip(frows, pivot_cols):
-            coeff = row.get(fc)
-            if coeff:
-                v[pc] = -coeff
-        basis.append(v)
-    return basis
-
-
-def _span_of(vectors, cols: int) -> IncrementalSpan:
-    vectors = list(vectors)
-    for w in vectors:
-        if len(w) != cols:
-            raise ValueError("dimension mismatch")
-    span = IncrementalSpan(cols)
-    for w in vectors:
-        span.add(w)
-    return span
-
-
-def span_dim(vectors) -> int:
-    """Dimension of the span of a family of equal-length rational vectors."""
-    vectors = list(vectors)
-    return _span_of(vectors, len(vectors[0])).dim if vectors else 0
-
-
-def span_contains(vectors, v) -> bool:
-    """Exact membership of v in the span of the given vectors."""
-    return _span_of(vectors, len(v)).contains(v)
+    basis = {c: {c: Fraction(1)} for c in range(m.cols) if c not in pivot_set}
+    for row, pc in zip(frows, pivot_cols):
+        for c, v in row.items():
+            if c != pc:
+                basis[c][pc] = -v
+    return list(basis.values())

@@ -26,27 +26,6 @@ GraphKey = tuple[Edge, ...]
 
 
 @dataclass(frozen=True)
-class ColoredGraph:
-    """k matchings stacked on one label set; color i is layer i (ordered)."""
-
-    n: int
-    layers: tuple[GraphKey, ...]
-
-    def __post_init__(self):
-        for layer in self.layers:
-            word = sorted(v for e in layer for v in e)
-            assert word == list(range(1, self.n + 1)), \
-                "every layer must be a perfect matching on 1..n"
-
-    @property
-    def degree(self) -> int:
-        return len(self.layers)
-
-    def union_edges(self) -> list[Edge]:
-        return [e for layer in self.layers for e in layer]
-
-
-@dataclass(frozen=True)
 class CanonicalForm:
     """A canonical graph together with the sign picked up canonicalizing.
 

@@ -431,8 +431,10 @@ def _cycle_peel_two_regular(n: int, key: GraphKey):
     return tuple(sorted(layers[0])), tuple(sorted(layers[1]))
 
 
-def kempe_factor(n: int, edges, d: int | None = None):
-    """Write a regular graph as a combination of products of matchings.
+def kempe_factor(n: int, edges):
+    """Write a regular graph as a combination of products of d matchings.
+
+    The degree d is the graph's valence; an irregular graph raises.
 
     A matching maps to itself and a 2-regular union of even cycles peels
     directly by alternation; otherwise the +/- split is fixed (positives
@@ -446,9 +448,7 @@ def kempe_factor(n: int, edges, d: int | None = None):
     cf = canonicalize(edges)
     if cf.sign == 0:
         raise ValueError("graph has a loop")
-    if d is None:
-        vals = valences(n, cf.graph)[1:]
-        d = vals[0]
+    d = max(valences(n, cf.graph))
     if not is_regular(n, cf.graph, d):
         raise ValueError("graph is not regular")
     if d == 0:

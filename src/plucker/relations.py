@@ -126,36 +126,40 @@ class SymElement:
                               json_int(obj["degree"], "degree"), items)
 
 
-def project_to_ring(e: SymElement) -> RingElement:
-    """Multiply out each monomial (with Y-signs) and straighten the result."""
+def _y_product(mono) -> tuple[int, GraphKey]:
+    """(sign, sorted edges) with Y_m1 ... Y_mk = sign * X of the edges."""
+    sign = 1
+    edges: list = []
+    for m in mono:
+        sign *= orientation_sign(m)
+        edges.extend(m)
+    return sign, tuple(sorted(edges))
+
+
+def _product_graphs(e: SymElement) -> RingElement:
+    """Each monomial multiplied out to its product graph, not straightened."""
     items = []
     for mono, coeff in e.terms.items():
-        sign = 1
-        edges: list = []
-        for m in mono:
-            sign *= orientation_sign(m)
-            edges.extend(m)
-        items.append((tuple(sorted(edges)), coeff * sign))
-    return straighten(RingElement.from_terms(e.n, items))
+        sign, edges = _y_product(mono)
+        items.append((edges, coeff * sign))
+    return RingElement.from_terms(e.n, items)
+
+
+def project_to_ring(e: SymElement) -> RingElement:
+    """Multiply out each monomial (with Y-signs) and straighten the result."""
+    return straighten(_product_graphs(e))
 
 
 def evaluate_sym(e: SymElement, config) -> Fraction:
     """Evaluate the image of a SymElement at a point configuration.
 
-    Computed term by term from the determinant products, with no
-    straightening involved, so it is an independent oracle for relations.
+    Each monomial's product graph is evaluated once, as a product of
+    determinants, with no straightening involved, so it is an independent
+    oracle for relations.
     """
-    from .invariant_ring import PointConfig, evaluate
+    from .invariant_ring import evaluate
 
-    assert isinstance(config, PointConfig)
-    total = Fraction(0)
-    for mono, coeff in e.terms.items():
-        prod = coeff
-        for m in mono:
-            prod *= orientation_sign(m) * evaluate(
-                RingElement(e.n, {m: Fraction(1)}), config)
-        total += prod
-    return total
+    return evaluate(_product_graphs(e), config)
 
 
 def to_coords(e: SymElement) -> dict[Monomial, Fraction]:
@@ -186,11 +190,9 @@ def sym_basis(n: int, k: int) -> tuple[Monomial, ...]:
 
 
 def coords_vector(e: SymElement) -> dict[int, Fraction]:
+    """``to_coords`` keyed by column of ``sym_basis(e.n, e.degree)``."""
     index = _basis_index(e.n, e.degree)
-    out = {}
-    for key, c in to_coords(e).items():
-        out[index[key]] = c
-    return out
+    return {index[key]: c for key, c in to_coords(e).items()}
 
 
 @lru_cache(maxsize=None)
@@ -263,17 +265,12 @@ def recoloring_relation(n: int, layers_left, layers_right) -> SymElement:
     """
     left = tuple(matching_key(m) for m in layers_left)
     right = tuple(matching_key(m) for m in layers_right)
-    union_l = tuple(sorted(e for m in left for e in m))
-    union_r = tuple(sorted(e for m in right for e in m))
+    sign_l, union_l = _y_product(left)
+    sign_r, union_r = _y_product(right)
     if union_l != union_r:
         raise ValueError("recoloring must preserve the edge multiset")
-    sign = 1
-    for m in left:
-        sign *= orientation_sign(m)
-    for m in right:
-        sign *= orientation_sign(m)
     return SymElement.from_terms(
-        n, len(left), [(left, 1), (right, -sign)])
+        n, len(left), [(left, 1), (right, -sign_l * sign_r)])
 
 
 def segre_cubic() -> SymElement:
@@ -503,10 +500,8 @@ def generalized_segre(s: GenSegreDatum) -> SymElement:
     black, purple = s.black_purple()
     assert all(v == 1 for v in valences(s.n, black)[1:]), "black layer not a matching"
     assert all(v == 2 for v in valences(s.n, purple)[1:]), "purple layer not 2-regular"
-    sign = orientation_sign(black)
-    for m in layers.values():
-        sign *= orientation_sign(m)
-    lift = append_matching(kempe_factor(s.n, purple, 2), black).scale(sign)
+    sign = orientation_sign(black) * _y_product(layers.values())[0]
+    lift = append_matching(kempe_factor(s.n, purple), black).scale(sign)
     lead = SymElement.monomial(s.n, (layers["red"], layers["green"], layers["blue"]))
     return lead - lift
 
@@ -576,7 +571,7 @@ def square_rotation(p: SquareRotationDatum) -> SymElement:
     def side(purple_extra, black_extra):
         purple = canonicalize(list(p.purple) + purple_extra).graph
         black = matching_key(list(p.black) + black_extra)
-        return append_matching(kempe_factor(p.n, purple, 2), black) \
+        return append_matching(kempe_factor(p.n, purple), black) \
             .scale(orientation_sign(black))
 
     left = side([(u1, u2), (u3, u4)], [(u1, u4), (u2, u3)])
@@ -608,12 +603,8 @@ def relation_matrix(n: int, k: int) -> exact_linalg.QMatrix:
     basis = sym_basis(n, k)
     m = exact_linalg.QMatrix(len(rows), len(basis))
     for j, mono in enumerate(basis):
-        sign = 1
-        edges: list = []
-        for layer in mono:
-            sign *= orientation_sign(layer)
-            edges.extend(layer)
-        for g, c in straighten_graph(n, tuple(sorted(edges))).items():
+        sign, edges = _y_product(mono)
+        for g, c in straighten_graph(n, edges).items():
             m.set(row_index[g], j, sign * c)
     return m.freeze()
 
@@ -625,8 +616,8 @@ def ideal_component_dim(n: int, k: int) -> int:
     return m.cols - exact_linalg.rank(m)
 
 
-def ideal_kernel_basis(n: int, k: int) -> list[list[Fraction]]:
-    """Exact basis of I^(k) in Sym^k coordinates."""
+def ideal_kernel_basis(n: int, k: int) -> list[dict[int, Fraction]]:
+    """Exact basis of I^(k), each vector ``{column of sym_basis: value}``."""
     return exact_linalg.kernel_basis(relation_matrix(n, k))
 
 
@@ -641,28 +632,19 @@ def _quadratic_ideal_span(n: int):
     quads = ideal_kernel_basis(n, 2)
     basis2 = sym_basis(n, 2)
     index3 = _basis_index(n, 3)
-    vectors: list[dict[int, Fraction]] = []
-    for v in noncrossing_matchings(n):
-        for q in quads:
-            vec: dict[int, Fraction] = {}
-            for j, c in enumerate(q):
-                if c:
-                    key = tuple(sorted(basis2[j] + (v,)))
-                    idx = index3[key]
-                    vec[idx] = vec.get(idx, Fraction(0)) + c
-            vec = {i: c for i, c in vec.items() if c}
-            if vec:
-                vectors.append(vec)
+    # multiplying by v maps distinct quadratic monomials to distinct cubic
+    # ones, so each product has exactly the nonzeros of q
+    vectors = [{index3[tuple(sorted(basis2[j] + (v,)))]: c
+                for j, c in q.items()}
+               for v in noncrossing_matchings(n) for q in quads]
     span = exact_linalg.IncrementalSpan(len(sym_basis(n, 3)))
     for vec in vectors:
         span.add(vec)
     return tuple(vectors), span
 
 
-def quadratic_ideal_component(n: int, k: int = 3):
-    """Spanning set and dimension of Q^(k): V-multiples of quadratic relations."""
-    if k != 3:
-        raise ValueError("only the cubic component of Q is implemented")
+def quadratic_ideal_component(n: int):
+    """Spanning set and dimension of Q^(3): V-multiples of quadratic relations."""
     vectors, span = _quadratic_ideal_span(n)
     return [dict(vec) for vec in vectors], span.dim
 
@@ -675,7 +657,7 @@ def in_quadratic_ideal(e: SymElement) -> bool:
     return span.contains(coords_vector(e))
 
 
-def orbit_span_check(rel: SymElement, n: int | None = None):
+def orbit_span_check(rel: SymElement):
     """Rank of the S_n-orbit span of a relation; does it fill I^(k)?
 
     Requires the input to project to zero (so the orbit stays inside the
@@ -683,8 +665,7 @@ def orbit_span_check(rel: SymElement, n: int | None = None):
     """
     from .symmetry_rep import act_sym, all_perms
 
-    n = rel.n if n is None else n
-    k = rel.degree
+    n, k = rel.n, rel.degree
     target = ideal_component_dim(n, k)
     if rel.is_zero():
         return 0, target == 0

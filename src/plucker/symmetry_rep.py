@@ -25,8 +25,8 @@ from .invariant_ring import RingElement, degree_trace
 from .relations import (
     SymElement,
     component_partition_of_monomial,
+    coords_vector,
     sym_basis,
-    to_coords,
 )
 
 Perm = dict[int, int]
@@ -37,40 +37,6 @@ def all_perms(n: int):
     base = list(range(1, n + 1))
     for img in itertools.permutations(base):
         yield dict(zip(base, img))
-
-
-def perm_from_cycles(n: int, cycles) -> Perm:
-    perm = {i: i for i in range(1, n + 1)}
-    for cyc in cycles:
-        for i, v in enumerate(cyc):
-            perm[v] = cyc[(i + 1) % len(cyc)]
-    return perm
-
-
-def cycle_type(perm: Perm) -> PartitionT:
-    seen = set()
-    lengths = []
-    for v in perm:
-        if v in seen:
-            continue
-        length = 0
-        w = v
-        while w not in seen:
-            seen.add(w)
-            w = perm[w]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
-
-
-def representative_of_type(mu: PartitionT) -> Perm:
-    n = sum(mu)
-    cycles = []
-    nxt = 1
-    for part in mu:
-        cycles.append(tuple(range(nxt, nxt + part)))
-        nxt += part
-    return perm_from_cycles(n, cycles)
 
 
 # --- action on elements ---------------------------------------------------------
@@ -97,14 +63,6 @@ def act_sym(perm: Perm, e: SymElement) -> SymElement:
                     for m in mono)
         items.append((new, coeff * twist))
     return SymElement.from_terms(e.n, e.degree, items)
-
-
-def act(perm: Perm, e):
-    if isinstance(e, RingElement):
-        return act_ring(perm, e)
-    if isinstance(e, SymElement):
-        return act_sym(perm, e)
-    raise TypeError(f"cannot act on {type(e).__name__}")
 
 
 # --- partitions, characters, hook lengths ---------------------------------------
@@ -307,21 +265,13 @@ def _sym3_monomials_by_partition(n: int):
     return groups
 
 
-def _monomial_coords(n: int, mono) -> dict[int, Fraction]:
-    from .relations import _basis_index
-
-    index = _basis_index(n, 3)
-    e = SymElement.from_terms(n, 3, [(mono, 1)])
-    return {index[k]: c for k, c in to_coords(e).items()}
-
-
 def filtration_span(n: int, parts) -> exact_linalg.IncrementalSpan:
     """Span of all degree-3 monomials whose component partition is in parts."""
     groups = _sym3_monomials_by_partition(n)
     span = exact_linalg.IncrementalSpan(len(sym_basis(n, 3)))
     for part in parts:
         for mono in groups.get(part, []):
-            span.add(_monomial_coords(n, mono))
+            span.add(coords_vector(SymElement.monomial(n, mono)))
     return span
 
 
@@ -331,14 +281,12 @@ def filtration_dim(n: int, p: PartitionT) -> int:
     return filtration_span(n, parts).dim
 
 
-def gr_dim(n: int, k: int, p) -> int:
+def gr_dim(n: int, p) -> int:
     """dim of the associated graded piece gr_p(Sym^3 V) for n in {4, 6}.
 
     Quotient of F_p by the joint span of all F_q with q strictly finer; if
     several incomparable q sit below p, all of them are subtracted.
     """
-    if k != 3:
-        raise ValueError("only k = 3 is implemented")
     if n not in (4, 6):
         raise ValueError("feasibility guard: n in {4, 6}")
     p = tuple(sorted(p, reverse=True))
@@ -348,5 +296,5 @@ def gr_dim(n: int, k: int, p) -> int:
     span = filtration_span(n, below)
     dim_below = span.dim
     for mono in _sym3_monomials_by_partition(n).get(p, []):
-        span.add(_monomial_coords(n, mono))
+        span.add(coords_vector(SymElement.monomial(n, mono)))
     return span.dim - dim_below

@@ -265,8 +265,10 @@ def _completion_counts(tree: TrivalentTree, d: int):
     Returns (table, root_edge, below, children): ``children[v]`` lists the
     (edge, vertex) pairs under trinode v, and ``table[e]`` maps a weight on
     edge e to the number of admissible completions of the subtree under e
-    with every leaf edge weighted d.
+    with every leaf edge weighted d.  Raises ``ValueError`` on d < 0.
     """
+    if d < 0:
+        raise ValueError(f"degree must be >= 0, got {d}")
     root_leaf = tree.leaf_of_label[min(tree.leaf_of_label)]
     (root_edge, below), = tree.adj[root_leaf]
     children: dict[int, list[tuple[int, int]]] = {}

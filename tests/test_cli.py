@@ -62,6 +62,8 @@ BAD_USER_INPUTS = [
     ("decompose", "-2", "V"),
     ("decompose", "16", "V"),
     ("hilbert", "2", "1000000000"),
+    ("toric", "count", "--r", "4", "--degree", "-1"),
+    ("toric", "round-trip", "--r", "3", "--degree", "-1"),
 ]
 
 

@@ -14,9 +14,23 @@ from plucker.exact_linalg import (
     matvec,
     rank,
     rref,
-    span_contains,
-    span_dim,
 )
+
+
+def sparse(row):
+    """A dense test row as ``{col: value}``."""
+    return {c: Fraction(v) for c, v in enumerate(row) if v}
+
+
+def dense(vector, cols):
+    return [vector.get(c, 0) for c in range(cols)]
+
+
+def span_of(rows, cols):
+    span = IncrementalSpan(cols)
+    for row in rows:
+        span.add(sparse(row))
+    return span
 
 
 def test_rank_examples():
@@ -29,25 +43,28 @@ def test_rank_examples():
 def test_kernel_examples():
     ident = QMatrix.from_rows([[1, 0], [0, 1]])
     assert kernel_basis(ident) == []
-    kb = kernel_basis(QMatrix.from_rows([[1, 2], [2, 4]]))
-    assert len(kb) == 1
-    v = kb[0]
-    assert v[0] * 1 + v[1] * 2 == 0 and any(v)
+    m = QMatrix.from_rows([[1, 2], [2, 4]])
+    kb = kernel_basis(m)
+    assert kb == [{0: -2, 1: 1}]
+    assert matvec(m, kb[0]) == {}
+    # the free column's own entry is stored even when no row touches it
+    kb = kernel_basis(QMatrix.from_rows([[1, 0, 3]]))
+    assert kb == [{1: 1}, {2: 1, 0: -3}]
+    assert all(v and all(v.values()) for v in kb)
     empty = QMatrix(0, 4).freeze()
-    kb = kernel_basis(empty)
-    assert len(kb) == 4
-    assert sorted(tuple(x) for x in kb) == sorted(
-        tuple(Fraction(int(i == j)) for j in range(4)) for i in range(4))
+    assert kernel_basis(empty) == [{i: 1} for i in range(4)]
+    # matvec keeps no zero row, including a row whose terms cancel
+    m = QMatrix.from_rows([[1, -1, 0], [0, 2, 0], [0, 0, 0]])
+    assert matvec(m, {0: 1, 1: 1}) == {1: 2}
+    assert matvec(m, {2: Fraction(5, 3)}) == {}
 
 
 def test_span_examples():
-    assert span_contains([[1, 0], [0, 1]], [3, -7])
-    assert not span_contains([[1, 1]], [1, 2])
-    assert span_dim([[2, 4], [2, 4], [1, 2]]) == 1
-    with pytest.raises(ValueError):
-        span_dim([[1, 0], [1, 0, 0]])
-    with pytest.raises(ValueError):
-        span_contains([[1, 0, 0]], [1, 0])
+    assert span_of([[1, 0], [0, 1]], 2).contains({0: 3, 1: -7})
+    assert not span_of([[1, 1]], 2).contains({0: 1, 1: 2})
+    assert span_of([[2, 4], [2, 4], [1, 2]], 2).dim == 1
+    assert span_of([], 3).dim == 0 and not span_of([], 3).contains({0: 1})
+    assert span_of([], 3).contains({})
 
 
 def test_rank_nullity_and_kernel_annihilation():
@@ -64,7 +81,8 @@ def test_rank_nullity_and_kernel_annihilation():
         kb = kernel_basis(m)
         assert rank(m) + len(kb) == cols
         for v in kb:
-            assert not any(matvec(m, v))
+            assert v and all(v.values())  # no zero is stored
+            assert matvec(m, v) == {}
 
 
 def test_rank_invariance_under_row_ops():
@@ -80,12 +98,12 @@ def test_rank_invariance_under_row_ops():
 
 def test_incremental_span():
     span = IncrementalSpan(3)
-    assert span.add([1, 0, 0])
-    assert not span.add([2, 0, 0])
+    assert span.add({0: 1})
+    assert not span.add({0: 2, 2: 0})
     assert span.add({1: Fraction(1, 3)})
     assert span.dim == 2
-    assert span.contains([5, -7, 0])
-    assert not span.contains([0, 0, 1])
+    assert span.contains({0: 5, 1: -7})
+    assert not span.contains({2: 1})
 
 
 def test_pivot_column_is_the_least_used():
@@ -98,8 +116,8 @@ def test_pivot_column_is_the_least_used():
 
 def test_span_add_pivots_on_the_largest_column():
     span = IncrementalSpan(3)
-    span.add([1, 1, 0])
-    span.add([0, -2, 2])  # reduced to (2, 0, 2), then made primitive
+    span.add({0: 1, 1: 1})
+    span.add({1: -2, 2: 2})  # reduced to (2, 0, 2), then made primitive
     assert span.pivots == {1: {0: 1, 1: 1}, 2: {0: 1, 2: 1}}
     rng = random.Random(2)
     span = IncrementalSpan(8)
@@ -159,12 +177,13 @@ def test_rank_and_kernel_agree_with_oracle(case):
     cols, rows = case
     m = QMatrix.from_rows(rows, cols)
     _, pivots = oracle_rref(rows, cols)
-    assert rank(m) == span_dim(rows) == len(pivots)
+    assert rank(m) == span_of(rows, cols).dim == len(pivots)
     kb = kernel_basis(m)
     assert len(kb) == cols - len(pivots)
-    assert len(oracle_rref(kb, cols)[1]) == len(kb)
+    assert len(oracle_rref([dense(v, cols) for v in kb], cols)[1]) == len(kb)
     for v in kb:
-        assert not any(matvec(m, v))
+        assert all(v.values())
+        assert matvec(m, v) == {}
 
 
 @properties
@@ -188,14 +207,14 @@ def test_incremental_span_agrees_with_oracle(case, data):
     for i, row in enumerate(rows):
         before = len(oracle_rref(rows[:i], cols)[1])
         grew = len(oracle_rref(rows[:i + 1], cols)[1]) > before
-        assert span.contains(row) == (not grew)
-        assert span.add(row if i % 2 else {c: v for c, v in enumerate(row)}) == grew
+        assert span.contains(sparse(row)) == (not grew)
+        assert span.add(sparse(row)) == grew
         assert span.dim == before + grew
     probe = data.draw(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols))
     inside = len(oracle_rref(rows + [probe], cols)[1]) == span.dim
-    assert span_contains(rows, probe) == inside
+    assert span_of(rows, cols).contains(sparse(probe)) == inside
     pivots = copy.deepcopy(span.pivots)
-    assert span.contains(probe) == inside
+    assert span.contains(sparse(probe)) == inside
     assert span.pivots == pivots and span.dim == len(pivots)
     # pivot rows are primitive integer rows, zero at every earlier pivot column
     for k, (col, row) in enumerate(pivots.items()):

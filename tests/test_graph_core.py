@@ -220,13 +220,3 @@ def test_perm_sign():
     assert perm_sign([1, 2, 3]) == 1
     assert perm_sign([2, 1, 3]) == -1
     assert perm_sign([1, 3, 2, 4]) == -1
-
-
-def test_colored_graph_type():
-    from plucker.graph_core import ColoredGraph, valences
-
-    g = ColoredGraph(4, (((1, 2), (3, 4)), ((1, 3), (2, 4))))
-    assert g.degree == 2
-    assert valences(4, g.union_edges())[1:] == [2, 2, 2, 2]
-    with pytest.raises(AssertionError):
-        ColoredGraph(4, (((1, 2),),))

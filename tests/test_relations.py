@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from plucker.exact_linalg import IncrementalSpan
+from plucker.exact_linalg import IncrementalSpan, matvec
 from plucker.figures import (
     degenerate_genseg8_datum,
     genseg6_datum,
@@ -29,6 +29,7 @@ from plucker.relations import (
     outer_product,
     project_to_ring,
     quadratic_ideal_component,
+    relation_matrix,
     segre8,
     segre_cubic,
     simple_binomial,
@@ -39,7 +40,7 @@ from plucker.relations import (
     to_coords,
 )
 from plucker.reports import random_config
-from plucker.symmetry_rep import act_ring, act_sym, perm_from_cycles
+from plucker.symmetry_rep import act_ring, act_sym
 
 
 def test_project_examples():
@@ -72,7 +73,7 @@ def test_segre_sign_twisted_action():
     right = (((1, 4), (2, 5), (3, 6)), ((1, 2), (3, 4), (5, 6)),
              ((1, 6), (2, 3), (4, 5)))
     for a, b in itertools.combinations(range(1, 7), 2):
-        sigma = perm_from_cycles(6, [(a, b)])
+        sigma = {i: i for i in range(1, 7)} | {a: b, b: a}
         relabeled = recoloring_relation(
             6, [[(sigma[x], sigma[y]) for x, y in m] for m in left],
             [[(sigma[x], sigma[y]) for x, y in m] for m in right])
@@ -325,18 +326,18 @@ def test_ideal_dimensions_and_guards():
 def test_ideal_kernel_is_segre_at_6_3():
     kernel = ideal_kernel_basis(6, 3)
     assert len(kernel) == 1
-    vec = [Fraction(0)] * len(sym_basis(6, 3))
-    for i, c in coords_vector(segre_cubic()).items():
-        vec[i] = c
-    k = kernel[0]
-    ratio = None
-    for a, b in zip(k, vec):
-        if bool(a) != bool(b):
-            assert False, "supports differ"
-        if a:
-            r = b / a
-            assert ratio in (None, r)
-            ratio = r
+    k, vec = kernel[0], coords_vector(segre_cubic())
+    assert k.keys() == vec.keys(), "supports differ"
+    assert len({vec[c] / k[c] for c in k}) == 1
+    # at (10, 2): 300 independent sparse vectors, each annihilated
+    m = relation_matrix(10, 2)
+    kernel = ideal_kernel_basis(10, 2)
+    assert len(kernel) == 300
+    span = IncrementalSpan(m.cols)
+    for v in kernel:
+        assert all(v.values())
+        assert matvec(m, v) == {}
+        assert span.add(v)
 
 
 def test_sym2_dimension_formula():
