@@ -15,7 +15,7 @@ import sys
 import time
 
 from . import reports, symmetry_rep, toric_rewriting, toric_trees
-from .graph_core import graph_to_json, json_int, parse_graph, parse_graph_json
+from .graph_core import graph_to_json, json_edges, json_int, parse_graph, parse_graph_json
 from .invariant_ring import (
     FuelExhausted,
     PointConfig,
@@ -213,8 +213,9 @@ _BUILTIN_RELATIONS = {
     "segre": lambda data: segre_cubic(),
     "segre8": lambda data: segre8(),
     "simplest": lambda data: simplest_binomial(
-        tuple(data["cycleA"]), tuple(data["cycleB"]),
-        [tuple(e) for e in data.get("doubled_rest", [])]),
+        tuple(json_int(v, "cycle label") for v in data["cycleA"]),
+        tuple(json_int(v, "cycle label") for v in data["cycleB"]),
+        json_edges(data.get("doubled_rest", []))),
     "simple": lambda data: simple_binomial(
         BinomialQuadDatum.from_json_dict(data)),
     "generalized-segre": lambda data: generalized_segre(
@@ -224,7 +225,13 @@ _BUILTIN_RELATIONS = {
 }
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {trials}")
+
+
 def cmd_relation(args) -> int:
+    _check_trials(args.trials)
     data = json.loads(_read_arg(args.data)) if args.data else {}
     try:
         rel = _BUILTIN_RELATIONS[args.kind](data)
@@ -288,6 +295,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_report(args) -> int:
+    _check_trials(args.trials)
     start = time.time()
     result = reports.run_suite(args.suite, seed=args.seed, trials=args.trials)
     result["seconds"] = round(time.time() - start, 3)

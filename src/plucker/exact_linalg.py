@@ -40,9 +40,8 @@ from math import gcd, lcm
 class QMatrix:
     """Immutable sparse matrix over Q.
 
-    Build with ``QMatrix(rows, cols)`` + ``set`` calls, then ``freeze()``;
-    the convenience constructors below cover the common cases.  Zero entries
-    are never stored.
+    Build with ``QMatrix(rows, cols)`` + ``set`` calls, then ``freeze()``.
+    Zero entries are never stored.
     """
 
     def __init__(self, rows: int, cols: int):
@@ -67,19 +66,6 @@ class QMatrix:
     def freeze(self) -> "QMatrix":
         self._frozen = True
         return self
-
-    @classmethod
-    def from_rows(cls, rows, cols: int | None = None) -> "QMatrix":
-        rows = [list(r) for r in rows]
-        if cols is None:
-            cols = len(rows[0]) if rows else 0
-        m = cls(len(rows), cols)
-        for i, row in enumerate(rows):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                m.set(i, j, v)
-        return m.freeze()
 
     def row_dicts(self) -> list[dict[int, Fraction]]:
         out: list[dict[int, Fraction]] = [dict() for _ in range(self.rows)]
@@ -184,15 +170,22 @@ class IncrementalSpan:
         self._index[col] = len(self.pivots)
         self.pivots[col] = {c: sign * v for c, v in row.items()}
 
+    def _row(self, vector) -> dict[int, int]:
+        """``_int_row`` of a vector; ``ValueError`` on a column outside 0..cols-1."""
+        for c in vector:
+            if not 0 <= c < self.cols:
+                raise ValueError(f"column {c} outside 0..{self.cols - 1}")
+        return _int_row(vector)
+
     def add(self, vector) -> bool:
-        row = self._reduce(_int_row(vector))
+        row = self._reduce(self._row(vector))
         if not row:
             return False
         self._keep(max(row), row)
         return True
 
     def contains(self, vector) -> bool:
-        return not self._reduce(_int_row(vector))
+        return not self._reduce(self._row(vector))
 
 
 def _row_space(m: QMatrix) -> IncrementalSpan:

@@ -108,15 +108,6 @@ def matching_key(pairs) -> GraphKey:
     return cf.graph
 
 
-def crossing(e1: Edge, e2: Edge) -> bool:
-    """Do two chords cross?  Arithmetic test, endpoints sorted, no geometry."""
-    a, b = min(e1), max(e1)
-    c, d = min(e2), max(e2)
-    if a > c:
-        a, b, c, d = c, d, a, b
-    return a < c < b < d
-
-
 def connected_component_partition(n: int, edges):
     """Vertex sets of connected components, plus the integer partition.
 
@@ -234,10 +225,6 @@ def catalan(k: int) -> int:
     return cat[k]
 
 
-def relabel_edges(edges, perm: dict[int, int]) -> list[Edge]:
-    return [(perm[a], perm[b]) for a, b in edges]
-
-
 # --- text / JSON interchange -------------------------------------------------
 
 _GRAPH_RE = re.compile(r"^\s*n\s*=\s*(\d+)\s*;\s*edges\s*=\s*(.*)$")
@@ -276,10 +263,6 @@ def parse_graph(text: str) -> tuple[int, list[Edge]]:
             edges.append((int(a), int(b)))
     check_labels(n, edges)
     return n, edges
-
-
-def graph_to_text(n: int, edges) -> str:
-    return "n=%d; edges=%s" % (n, ",".join("%d-%d" % e for e in edges))
 
 
 def parse_graph_json(text: str) -> tuple[int, list[Edge]]:

@@ -118,20 +118,18 @@ def plucker_rewrite(edges: GraphKey, i: int, j: int):
     return out
 
 
-def straighten_graph(n: int, key: GraphKey,
-                     cache: StraightenCache | None = None) -> dict[GraphKey, int]:
+def straighten_graph(n: int, key: GraphKey) -> dict[GraphKey, int]:
     """Expand one canonical graph in the non-crossing basis (integer coeffs).
 
     Iterative worklist with memoization; termination is guaranteed because a
     Plucker step strictly decreases the total Euclidean chord length of every
     branch, but a fuel counter guards against implementation bugs.
     """
-    cache = cache or GLOBAL_CACHE
-    memo = cache.memo
+    memo = GLOBAL_CACHE.memo
     if key in memo:
-        cache.hits += 1
+        GLOBAL_CACHE.hits += 1
         return memo[key]
-    cache.misses += 1
+    GLOBAL_CACHE.misses += 1
     fuel = STRAIGHTEN_FUEL
     stack = [key]
     children: dict[GraphKey, tuple[GraphKey, GraphKey] | None] = {}
@@ -248,22 +246,11 @@ def y_of(n: int, pairs) -> RingElement:
     return RingElement(n, {key: Fraction(orientation_sign(key))})
 
 
-def multiply(a: RingElement, b: RingElement) -> RingElement:
-    """Bilinear extension of the semigroup product (disjoint union of edges)."""
-    if a.n != b.n:
-        raise ValueError("label-set mismatch")
-    items = []
-    for ka, ca in a.terms.items():
-        for kb, cb in b.terms.items():
-            items.append((tuple(sorted(ka + kb)), ca * cb))
-    return RingElement.from_terms(a.n, items)
-
-
-def straighten(e: RingElement, cache: StraightenCache | None = None) -> RingElement:
+def straighten(e: RingElement) -> RingElement:
     """Rewrite into the non-crossing basis; a projection onto normal forms."""
     acc: dict[GraphKey, Fraction] = {}
     for key, coeff in e.terms.items():
-        for h, c in straighten_graph(e.n, key, cache).items():
+        for h, c in straighten_graph(e.n, key).items():
             acc[h] = acc.get(h, Fraction(0)) + coeff * c
     out = RingElement(e.n, {k: v for k, v in acc.items() if v})
     # observed, not asserted: integer inputs straighten to integer outputs

@@ -208,43 +208,21 @@ def component_partition_of_monomial(n: int, mono: Monomial):
 
 # --- outer multiplication -----------------------------------------------------
 
-def outer_product(a: SymElement, b: SymElement, n: int | None = None,
-                  relabel_a: dict[int, int] | None = None,
-                  relabel_b: dict[int, int] | None = None) -> SymElement:
-    """Disjoint-union product; layers are aligned by sorted list position.
+def outer_product(a: SymElement, b: SymElement) -> SymElement:
+    """Disjoint-union product on 1..a.n+b.n, ``b`` shifted above ``a``.
 
-    Default relabeling keeps ``a`` in place and shifts ``b`` above it.  The
-    images must be disjoint; degrees must agree.
+    Layers are aligned by sorted list position; degrees must agree.
     """
     if a.degree != b.degree:
         raise ValueError("degree mismatch")
-    if n is None:
-        n = a.n + b.n
-    if relabel_a is None:
-        relabel_a = {i: i for i in range(1, a.n + 1)}
-    if relabel_b is None:
-        relabel_b = {i: a.n + i for i in range(1, b.n + 1)}
-    image_a = set(relabel_a.values())
-    image_b = set(relabel_b.values())
-    if image_a & image_b:
-        raise ValueError("label collision")
-    if not (image_a | image_b) <= set(range(1, n + 1)):
-        raise ValueError("relabeling escapes 1..n")
+    shift = a.n
     items = []
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
-            layers = []
-            for la, lb in zip(ma, mb):
-                edges = [(relabel_a[x], relabel_a[y]) for x, y in la]
-                edges += [(relabel_b[x], relabel_b[y]) for x, y in lb]
-                layers.append(tuple(sorted(edges)))
+            layers = [la + tuple((x + shift, y + shift) for x, y in lb)
+                      for la, lb in zip(ma, mb)]
             items.append((tuple(layers), ca * cb))
-    return SymElement.from_terms(n, a.degree, items)
-
-
-def sym_unit(degree: int) -> SymElement:
-    """The empty-label monomial of the given degree (unit for outer product)."""
-    return SymElement(0, degree, {tuple(() for _ in range(degree)): Fraction(1)})
+    return SymElement.from_terms(a.n + b.n, a.degree, items)
 
 
 def append_matching(e: SymElement, m: GraphKey) -> SymElement:
@@ -290,6 +268,12 @@ def segre8() -> SymElement:
                          SymElement.monomial(2, (((1, 2),),) * 3))
 
 
+def _check_layer(n: int, layer: GraphKey, name: str) -> None:
+    """Raise ``ValueError`` unless a layer is a perfect matching of 1..n."""
+    if 2 * len(matching_key(layer)) != n:
+        raise ValueError(f"{name} is not a perfect matching of 1..{n}")
+
+
 @dataclass(frozen=True)
 class BinomialQuadDatum:
     """2-colored regular graph plus a subset U not split by any edge."""
@@ -300,11 +284,11 @@ class BinomialQuadDatum:
     layer2: GraphKey
 
     def validate(self) -> None:
-        l1 = matching_key(self.layer1)
-        l2 = matching_key(self.layer2)
+        _check_layer(self.n, self.layer1, "color1")
+        _check_layer(self.n, self.layer2, "color2")
         if not set(self.u) <= set(range(1, self.n + 1)):
             raise ValueError(f"U = {sorted(self.u)} is not inside 1..{self.n}")
-        for a, b in l1 + l2:
+        for a, b in itertools.chain(self.layer1, self.layer2):
             if (a in self.u) != (b in self.u):
                 raise ValueError(f"edge ({a},{b}) crosses U")
 
@@ -364,21 +348,6 @@ def simplest_binomial(cycle_a, cycle_b, doubled_rest=()) -> SymElement:
     return simple_binomial(datum)
 
 
-def iota_relation(n: int, u, pair_out, pair_in) -> SymElement:
-    """The wedge-to-relation map: (G ^ G') x (D ^ D') -> quadratic relations.
-
-    ``pair_out`` are matchings on the complement of ``u``, ``pair_in`` on
-    ``u``; the image is Y_{GD} Y_{G'D'} - Y_{G'D} Y_{GD'}.
-    """
-    g1, g2 = pair_out
-    d1, d2 = pair_in
-    m11 = tuple(sorted(tuple(g1) + tuple(d1)))
-    m22 = tuple(sorted(tuple(g2) + tuple(d2)))
-    m21 = tuple(sorted(tuple(g2) + tuple(d1)))
-    m12 = tuple(sorted(tuple(g1) + tuple(d2)))
-    return SymElement.from_terms(n, 2, [((m11, m22), 1), ((m21, m12), -1)])
-
-
 @dataclass(frozen=True)
 class GenSegreDatum:
     """A 3-colored graph with a 3-part even partition and the special-edge rules."""
@@ -422,6 +391,7 @@ class GenSegreDatum:
             raise ValueError("parts must partition the labels")
         counts: dict[frozenset[str], int] = {k: 0 for k in self.OPPOSITE}
         for color, layer in self.layers().items():
+            _check_layer(self.n, layer, color)
             for a, b in layer:
                 pa, pb = self.part_of(a), self.part_of(b)
                 if pa == pb:
@@ -435,9 +405,6 @@ class GenSegreDatum:
         for pair, count in counts.items():
             if count not in (0, 2):
                 raise ValueError(f"{count} edges between {sorted(pair)}, need 0 or 2")
-
-    def is_small(self) -> bool:
-        return any(len(p) == 2 for p in self.parts().values())
 
     def black_purple(self) -> tuple[GraphKey, GraphKey]:
         """Recolor: own-color edges inside each part go black, the rest purple."""

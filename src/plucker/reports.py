@@ -273,9 +273,9 @@ def criterion_rewriting(seed: int = 0, trials: int = 500, **_) -> dict:
     return {"pass": ok, "normal_form_trials": trials}
 
 
-def _relation_zoo():
-    degenerate = relations.generalized_segre(figures.degenerate_genseg8_datum())
-    even_square = relations.square_rotation(figures.square_rotation_even_datum())
+def _relation_zoo(degenerate_datum, even_square_datum):
+    degenerate = relations.generalized_segre(degenerate_datum)
+    even_square = relations.square_rotation(even_square_datum)
     return [
         ("segre_cubic", segre_cubic()),
         ("segre8_outer", segre8()),
@@ -296,7 +296,9 @@ def criterion_relation_constructors(seed: int = 0, **_) -> dict:
     rng = random.Random(seed)
     details = {}
     ok = True
-    zoo = _relation_zoo()
+    degenerate_datum = figures.degenerate_genseg8_datum()
+    even_square_datum = figures.square_rotation_even_datum()
+    zoo = _relation_zoo(degenerate_datum, even_square_datum)
     for name, rel in zoo:
         projected_zero = project_to_ring(rel).is_zero()
         eval_zero = all(evaluate_sym(rel, random_config(rel.n, rng)) == 0
@@ -309,7 +311,11 @@ def criterion_relation_constructors(seed: int = 0, **_) -> dict:
     sq_in_q = in_quadratic_ideal(by_name["square_rotation"])
     details["degenerate_in_Q3_8"] = in_q
     details["even_square_rotation_in_Q3_8"] = sq_in_q
-    return {"pass": ok and in_q and sq_in_q, **details}
+    # the premises of the two statements: the datum is degenerate, and both
+    # special paths of the square have four vertices
+    premises = degenerate_datum.is_degenerate() and \
+        sorted(len(p) for p in even_square_datum.special_paths()) == [4, 4]
+    return {"pass": ok and premises and in_q and sq_in_q, **details}
 
 
 def criterion_figure_identities(**_) -> dict:

@@ -2,10 +2,9 @@
 
 A weighting on the r-th caterpillar is stored compactly as the stalk values
 (s1..sr, left to right) plus the base-edge values (b2..b_{r-2}); only the
-triangle inequalities constrain it, not parity.  Truncation halves the
-interior of a regular weighting on the r-th Y-tree into one of these and
-keeps the degree apart; untruncation is its inverse.  A *reduced
-matching* is an admissible reduced weighting with every stalk value 0 or 1;
+triangle inequalities constrain it, not parity.  It is the truncation of a
+regular weighting on the r-th Y-tree: the interior halved, the degree kept
+apart.  A *reduced matching* is an admissible reduced weighting with every stalk value 0 or 1;
 tuples of these are the monomials of the degenerated ring, and the operations
 here (balancing, normal forms, type vectors, the toric cubic move) implement
 its relation calculus.
@@ -21,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .toric_trees import TreeWeighting, admissible_triple, build_y_tree
+from .toric_trees import admissible_triple
 
 Triple = tuple[int, int, int]
 
@@ -99,47 +98,6 @@ def sum_weighting(tup) -> CatWeighting:
     return total
 
 
-# --- truncation ---------------------------------------------------------------
-
-def truncate(w: TreeWeighting) -> tuple[CatWeighting, int]:
-    """Halve the stalks and base edges of a regular Y-tree weighting.
-
-    Returns the reduced weighting on the matching caterpillar and the degree.
-    Raises ``ValueError`` off a Y-tree, on a weighting that is not regular
-    and on an odd interior weight.
-    """
-    tree = w.tree
-    r = len(tree.stalk_edges)
-    if r < 3 or tree is not build_y_tree(r):
-        raise ValueError("truncation needs a weighting on a Y-tree")
-    degrees = {w.leaf_edge_weight(l) for l in tree.leaves()}
-    if len(degrees) != 1:
-        raise ValueError("weighting is not regular")
-
-    def half(idx: int) -> int:
-        if w.weights[idx] % 2:
-            raise ValueError("odd interior weight; cannot truncate")
-        return w.weights[idx] // 2
-
-    return (CatWeighting(r, tuple(half(tree.stalk_edges[i]) for i in range(1, r + 1)),
-                         tuple(half(tree.base_edges[j]) for j in range(2, r - 1))),
-            degrees.pop())
-
-
-def untruncate(c: CatWeighting, d: int) -> TreeWeighting:
-    """Inverse of truncate: double the interior, leaf edges get the degree d."""
-    tree = build_y_tree(c.r)
-    weights = [d] * len(tree.edges)  # every edge but a stalk or base is a leaf edge
-    for i, idx in tree.stalk_edges.items():
-        weights[idx] = 2 * c.stalk(i)
-    for j, idx in tree.base_edges.items():
-        weights[idx] = 2 * c.base(j)
-    out = TreeWeighting(tree, tuple(weights))
-    if not out.is_admissible():
-        raise ValueError(f"{c} does not untruncate at degree {d}")
-    return out
-
-
 @lru_cache(maxsize=None)
 def enumerate_reduced_matchings(r: int) -> tuple[CatWeighting, ...]:
     """All reduced matchings on the r-th caterpillar, lexicographic order.
@@ -185,8 +143,8 @@ def is_balanced(tup) -> bool:
 def balance_triples(triples):
     """Balance local triples (a, b, c), b <= 1, by sum-preserving pair moves.
 
-    Returns (balanced triples, move trace).  Each move bumps the minimum of
-    an imbalanced coordinate up and the maximum down, dragging the other
+    Returns the balanced triples.  Each move bumps the minimum of an
+    imbalanced coordinate up and the maximum down, dragging the other
     coordinate along when it is strictly ordered the same way.  With b <= 1
     the two flanks of one triple differ by at most one, which is exactly what
     makes every move admissible and the quadratic potential decrease.
@@ -195,7 +153,6 @@ def balance_triples(triples):
     for a, b, c in work:
         assert b <= 1 and admissible_triple(a, b, c, reduced=True), \
             f"bad local triple {(a, b, c)}"
-    trace = []
 
     def imbalanced_coordinate():
         for coord in (0, 2):
@@ -222,8 +179,7 @@ def balance_triples(triples):
         assert admissible_triple(*work[lo], reduced=True) and \
             admissible_triple(*work[hi], reduced=True), \
             "balancing move broke admissibility"
-        trace.append((lo, hi, work[lo], work[hi]))
-    return work, trace
+    return work
 
 
 def _glue_balanced(r: int, per_vertex: dict[int, list[Triple]], n: int):
@@ -252,8 +208,13 @@ def _glue_balanced(r: int, per_vertex: dict[int, list[Triple]], n: int):
     return out
 
 
-def balance_with_trace(tup):
-    """Balance a tuple of reduced caterpillar weightings (middle stalks <= 1)."""
+def balance(tup):
+    """Sum-preserving quadratic balancing; returns the balanced tuple.
+
+    The entries are reduced caterpillar weightings with middle stalks <= 1.
+    """
+    if is_balanced(tup) and _span_balanced(tup):
+        return tuple(tup)
     tup = list(tup)
     assert tup, "empty tuple"
     r = tup[0].r
@@ -261,25 +222,14 @@ def balance_with_trace(tup):
         assert entry.r == r and entry.is_admissible()
         assert all(entry.stalk(v) <= 1 for v in range(2, r)), \
             "middle stalks must be at most 1"
-    per_vertex = {}
-    traces = {}
-    for v in range(2, r):
-        balanced, trace = balance_triples([e.local_triple(v) for e in tup])
-        per_vertex[v] = balanced
-        traces[v] = trace
+    per_vertex = {v: balance_triples([e.local_triple(v) for e in tup])
+                  for v in range(2, r)}
     out = _glue_balanced(r, per_vertex, len(tup))
     total_in = sum_weighting(tup)
     total_out = sum_weighting(out)
     assert total_in == total_out, "balancing changed the sum"
     assert is_balanced(out)
-    return tuple(out), traces
-
-
-def balance(tup):
-    """Sum-preserving quadratic balancing; returns the balanced tuple."""
-    if is_balanced(tup) and _span_balanced(tup):
-        return tuple(tup)
-    return balance_with_trace(tup)[0]
+    return tuple(out)
 
 
 def _span_balanced(tup) -> bool:
@@ -373,56 +323,16 @@ def toric_segre_move(tup, v: int):
 
 # --- normal forms ----------------------------------------------------------------
 
-def merge_pair(x: CatWeighting, y: CatWeighting):
-    """The min/max merge on a balanced unbreakable pair.
-
-    Returns (eta, eta') with eta = min and eta' = max on every base edge and
-    on the end stalks; middle stalk values are reallocated per trinode, the
-    forced values first and any slack pushed onto eta'.
-    """
-    assert x.r == y.r
-    r = x.r
-    lo_b = tuple(min(a, b) for a, b in zip(x.bases, y.bases))
-    hi_b = tuple(max(a, b) for a, b in zip(x.bases, y.bases))
-    lo_s = [0] * r
-    hi_s = [0] * r
-    for i in (1, r):
-        lo_s[i - 1] = min(x.stalk(i), y.stalk(i))
-        hi_s[i - 1] = max(x.stalk(i), y.stalk(i))
-
-    def flank(bases, stalks, v):
-        left = stalks[0] if v == 2 else bases[v - 3]
-        right = stalks[r - 1] if v == r - 1 else bases[v - 2]
-        return left, right
-
-    for v in range(2, r):
-        budget = x.stalk(v) + y.stalk(v)
-        la, lc = flank(lo_b, lo_s, v)
-        ha, hc = flank(hi_b, hi_s, v)
-        need_lo, need_hi = abs(la - lc), abs(ha - hc)
-        slack = budget - need_lo - need_hi
-        if slack < 0 or slack > (1 - need_lo) + (1 - need_hi):
-            raise AssertionError("no admissible stalk allocation in merge")
-        give_hi = min(1 - need_hi, slack)
-        hi_s[v - 1] = need_hi + give_hi
-        lo_s[v - 1] = need_lo + (slack - give_hi)
-    eta = CatWeighting(r, tuple(lo_s), lo_b)
-    eta2 = CatWeighting(r, tuple(hi_s), hi_b)
-    assert eta.is_admissible() and eta2.is_admissible()
-    assert eta + eta2 == x + y
-    return eta, eta2
-
-
 def normal_form(tup):
     """The unique balanced ascending form of an unbreakable tuple.
 
     The output depends only on the sum weighting: base edges and end stalks
     are dealt out in ascending order (the balanced multiset of each sum is
     unique), middle stalks are forced wherever the flanks differ, and the
-    remaining stalk budget fills the free slots from the top.  Repeated
-    min/max merging of pairs converges to exactly this form; computing it
-    directly makes idempotence and permutation invariance immediate, and any
-    two tuples with equal sums map to equal outputs.
+    remaining stalk budget fills the free slots from the top.  This is the
+    form the paper reaches by merging pairs into their min/max on every base
+    edge; built from the sum alone, it is idempotent and invariant under
+    permutations, and tuples with equal sums map to equal outputs.
     """
     tup = tuple(tup)
     if not tup:
@@ -482,63 +392,7 @@ def normal_form(tup):
     return result
 
 
-# --- breaking at a zero base edge and gluing back ---------------------------------
-
-def split_at_base(tup, j: int):
-    """Cut every entry at base edge j into left and right caterpillar pieces.
-
-    Requires each entry to take value 0 or 1 on the cut edge (true for any
-    balanced tuple that is breakable there).  The cut edge becomes the last
-    stalk of the left piece (on the (j+1)-th caterpillar) and the first stalk
-    of the right piece (on the (r-j+1)-th caterpillar); entry order is kept.
-    """
-    tup = tuple(tup)
-    r = tup[0].r
-    assert 2 <= j <= r - 2, "not a base edge"
-    left, right = [], []
-    for e in tup:
-        cut = e.base(j)
-        if cut > 1:
-            raise ValueError("entry is not matching-valued at the cut edge")
-        ls = tuple(e.stalk(i) for i in range(1, j + 1)) + (cut,)
-        lb = tuple(e.base(k) for k in range(2, j))
-        left.append(CatWeighting(j + 1, ls, lb))
-        rs = (cut,) + tuple(e.stalk(i) for i in range(j + 1, r + 1))
-        rb = tuple(e.base(k) for k in range(j + 1, r - 1))
-        right.append(CatWeighting(r - j + 1, rs, rb))
-    return tuple(left), tuple(right)
-
-
-def concat_at_base(left, right):
-    """Glue split pieces back into one tuple, pairing equal cut values.
-
-    Left entries taking 0 on their last stalk are paired, in index order,
-    with right entries taking 0 on their first stalk, and likewise for 1;
-    the output follows the left entries' order.  This is the concatenation
-    used to reassemble rewriting sequences across a broken edge, where the
-    pairing within each group is immaterial.
-    """
-    left = tuple(left)
-    right = tuple(right)
-    assert left and len(left) == len(right)
-    rl = left[0].r
-    rr = right[0].r
-    groups = {0: [], 1: []}
-    for idx, f in enumerate(right):
-        groups[f.stalk(1)].append(idx)
-    out = []
-    for e in left:
-        cut = e.stalk(rl)
-        if not groups[cut]:
-            raise ValueError("cut values of the pieces do not match up")
-        f = right[groups[cut].pop(0)]
-        stalks = e.stalks[:-1] + f.stalks[1:]
-        bases = e.bases + (cut,) + f.bases
-        out.append(CatWeighting(rl + rr - 2, stalks, bases))
-    return tuple(out)
-
-
-# --- small exhaustive move-graph machinery (used by tests and reports) -----------
+# --- small exhaustive move-graph machinery (used by reports) ---------------------
 
 @lru_cache(maxsize=16)
 def _combos_by_sum(universe: tuple, size: int) -> dict:

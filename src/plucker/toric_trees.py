@@ -172,18 +172,6 @@ class TreeWeighting:
         return all(admissible_triple(*self.weight_triple(v))
                    for v in self.tree.trinodes())
 
-    def leaf_edge_weight(self, label: int) -> int:
-        leaf = self.tree.leaf_of_label[label]
-        (idx, _), = self.tree.adj[leaf]
-        return self.weights[idx]
-
-    def is_regular(self, d: int) -> bool:
-        return all(self.leaf_edge_weight(l) == d for l in self.tree.leaves())
-
-    def __add__(self, other: "TreeWeighting") -> "TreeWeighting":
-        assert self.tree is other.tree
-        return TreeWeighting(self.tree,
-                             tuple(a + b for a, b in zip(self.weights, other.weights)))
 
 
 def level(edges, tree: TrivalentTree) -> int:

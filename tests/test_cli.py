@@ -50,6 +50,18 @@ BAD_USER_INPUTS = [
         {"n": 8, "U": [1, 2, 3, 4, 5], "purple": [[1, 2]], "black": [[1, 2]]})),
     ("relation", "verify", "square-rotation", "--data", json.dumps(
         {"n": 8, "U": [1, 2, 3, 3], "purple": [[1, 2]], "black": [[1, 2]]})),
+    # datum layers must be perfect matchings of 1..n
+    ("relation", "verify", "simple", "--data", json.dumps(
+        {"n": 8, "U": [5, 6, 7, 8],
+         "color1": [[1, 2], [3, 4], [5, 6]],
+         "color2": [[1, 4], [2, 3], [5, 7], [6, 8]]})),
+    ("relation", "verify", "simple", "--data", json.dumps(
+        {"n": 9, "U": [5, 6, 7, 8],
+         "color1": [[1, 2], [3, 4], [5, 6], [7, 8]],
+         "color2": [[1, 4], [2, 3], [5, 7], [6, 8]]})),
+    ("relation", "verify", "generalized-segre", "--data", json.dumps(
+        {"UR": [1, 2], "UG": [3, 4], "UB": [5, 6], "red": [[1, 2], [3, 4]],
+         "green": [[1, 2], [3, 4], [5, 6]], "blue": [[1, 2], [3, 4], [5, 6]]})),
     # JSON integers only: no floats, bools or numeric strings
     ("straighten", '{"n":4,"edges":[[1.9,3],[2,4]]}'),
     ("straighten", '{"n":4.0,"edges":[[1,3],[2,4]]}'),
@@ -59,6 +71,13 @@ BAD_USER_INPUTS = [
     ("normal-form", '{"r":3.7,"entries":[{"stalks":"111"}]}'),
     ("normal-form", '{"r":3,"entries":[{"stalks":"111"}]}'),
     ("normal-form", '{"r":3,"entries":[{"stalks":[1,1,true]}]}'),
+    ("relation", "verify", "simplest", "--data",
+     '{"cycleA":[1,2,6,5],"cycleB":[3,4,8,7.0]}'),
+    ("relation", "verify", "simplest", "--data",
+     '{"cycleA":[true,2,6,5],"cycleB":[3,4,8,7]}'),
+    # --trials below 1 is bad input, not a failed criterion
+    ("report", "all", "--trials", "-5"),
+    ("relation", "verify", "segre", "--trials", "0", "--json"),
     ("decompose", "-2", "V"),
     ("decompose", "16", "V"),
     ("hilbert", "2", "1000000000"),

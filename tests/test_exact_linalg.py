@@ -26,6 +26,19 @@ def dense(vector, cols):
     return [vector.get(c, 0) for c in range(cols)]
 
 
+def from_rows(rows, cols=None):
+    """A frozen ``QMatrix`` from dense rows, ``cols`` wide (default: the first row's length)."""
+    rows = [list(r) for r in rows]
+    if cols is None:
+        cols = len(rows[0]) if rows else 0
+    m = QMatrix(len(rows), cols)
+    for i, row in enumerate(rows):
+        assert len(row) == cols, "ragged rows"
+        for j, v in enumerate(row):
+            m.set(i, j, v)
+    return m.freeze()
+
+
 def span_of(rows, cols):
     span = IncrementalSpan(cols)
     for row in rows:
@@ -34,27 +47,27 @@ def span_of(rows, cols):
 
 
 def test_rank_examples():
-    ident = QMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    ident = from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert rank(ident) == 3
-    assert rank(QMatrix.from_rows([[1, 2], [2, 4]])) == 1
+    assert rank(from_rows([[1, 2], [2, 4]])) == 1
     assert rank(QMatrix(5, 7).freeze()) == 0
 
 
 def test_kernel_examples():
-    ident = QMatrix.from_rows([[1, 0], [0, 1]])
+    ident = from_rows([[1, 0], [0, 1]])
     assert kernel_basis(ident) == []
-    m = QMatrix.from_rows([[1, 2], [2, 4]])
+    m = from_rows([[1, 2], [2, 4]])
     kb = kernel_basis(m)
     assert kb == [{0: -2, 1: 1}]
     assert matvec(m, kb[0]) == {}
     # the free column's own entry is stored even when no row touches it
-    kb = kernel_basis(QMatrix.from_rows([[1, 0, 3]]))
+    kb = kernel_basis(from_rows([[1, 0, 3]]))
     assert kb == [{1: 1}, {2: 1, 0: -3}]
     assert all(v and all(v.values()) for v in kb)
     empty = QMatrix(0, 4).freeze()
     assert kernel_basis(empty) == [{i: 1} for i in range(4)]
     # matvec keeps no zero row, including a row whose terms cancel
-    m = QMatrix.from_rows([[1, -1, 0], [0, 2, 0], [0, 0, 0]])
+    m = from_rows([[1, -1, 0], [0, 2, 0], [0, 0, 0]])
     assert matvec(m, {0: 1, 1: 1}) == {1: 2}
     assert matvec(m, {2: Fraction(5, 3)}) == {}
 
@@ -89,11 +102,11 @@ def test_rank_invariance_under_row_ops():
     rng = random.Random(1)
     for _ in range(20):
         rows = [[rng.randint(-4, 4) for _ in range(5)] for _ in range(4)]
-        base = rank(QMatrix.from_rows(rows, 5))
+        base = rank(from_rows(rows, 5))
         rng.shuffle(rows)
         scaled = [[Fraction(rng.choice([1, 2, 3, -1, 5]), rng.choice([1, 2])) * v
                    for v in row] for row in rows]
-        assert rank(QMatrix.from_rows(scaled, 5)) == base
+        assert rank(from_rows(scaled, 5)) == base
 
 
 def test_incremental_span():
@@ -104,11 +117,18 @@ def test_incremental_span():
     assert span.dim == 2
     assert span.contains({0: 5, 1: -7})
     assert not span.contains({2: 1})
+    # a column outside 0..cols-1 is refused, not added
+    for vector in ({5: 1}, {-1: 1}, {0: 1, 3: 0}):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            span.add(vector)
+        with pytest.raises(ValueError, match="outside 0..2"):
+            span.contains(vector)
+    assert span.dim == 2
 
 
 def test_pivot_column_is_the_least_used():
     # rank, rref and kernel_basis: the column fewest pivot rows touch
-    m = QMatrix.from_rows([[1, 1, 0], [0, -2, 2]])
+    m = from_rows([[1, 1, 0], [0, -2, 2]])
     # column 1 is in one pivot row, column 2 in none
     assert rref(m) == ([{0: 1, 1: 1}, {1: -1, 2: 1}], [0, 2])
     assert rank(m) == 2
@@ -175,7 +195,7 @@ properties = settings(derandomize=True, database=None, max_examples=100,
 @given(matrices())
 def test_rank_and_kernel_agree_with_oracle(case):
     cols, rows = case
-    m = QMatrix.from_rows(rows, cols)
+    m = from_rows(rows, cols)
     _, pivots = oracle_rref(rows, cols)
     assert rank(m) == span_of(rows, cols).dim == len(pivots)
     kb = kernel_basis(m)
@@ -190,7 +210,7 @@ def test_rank_and_kernel_agree_with_oracle(case):
 @given(matrices())
 def test_rref_spans_the_row_space(case):
     cols, rows = case
-    frows, pivot_cols = rref(QMatrix.from_rows(rows, cols))
+    frows, pivot_cols = rref(from_rows(rows, cols))
     assert pivot_cols == sorted(set(pivot_cols))
     for row, pc in zip(frows, pivot_cols):
         assert row[pc] == 1

@@ -7,19 +7,25 @@ from plucker.graph_core import (
     canonicalize,
     catalan,
     connected_component_partition,
-    crossing,
     enumerate_matchings,
     enumerate_noncrossing_regular,
     graph_to_json,
-    graph_to_text,
     matching_key,
     orientation_sign,
     parse_graph,
     parse_graph_json,
     perm_sign,
     perm_sign_of_map,
-    relabel_edges,
 )
+from support import crossing
+
+
+def relabel_edges(edges, perm):
+    return [(perm[a], perm[b]) for a, b in edges]
+
+
+def graph_to_text(n, edges):
+    return "n=%d; edges=%s" % (n, ",".join("%d-%d" % e for e in edges))
 
 
 def test_canonicalize_examples():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import plucker.invariant_ring as ir
 from plucker.graph_core import (
     catalan,
-    crossing,
     enumerate_matchings,
     enumerate_noncrossing_regular,
 )
@@ -18,13 +17,11 @@ from plucker.invariant_ring import (
     FuelExhausted,
     PointConfig,
     RingElement,
-    StraightenCache,
     degree_trace,
     evaluate,
     first_crossing_pair,
     hilbert_dim,
     kempe_factor,
-    multiply,
     straighten,
     straighten_graph,
     x_of,
@@ -32,6 +29,7 @@ from plucker.invariant_ring import (
 )
 from plucker.symmetry_rep import partitions
 from plucker.toric_trees import build_y_tree, count_admissible_regular
+from support import crossing, multiply
 
 
 def rand_config(n, rng):
@@ -100,12 +98,10 @@ def test_straighten_idempotent_and_linear():
 
 def test_straighten_supported_on_noncrossing():
     rng = random.Random(4)
-    from plucker.graph_core import crossing as chords_cross
-
     for _ in range(30):
         e = rand_element(8, rng)
         for key in straighten(e).terms:
-            assert not any(chords_cross(p, q)
+            assert not any(crossing(p, q)
                            for p, q in itertools.combinations(key, 2))
 
 
@@ -303,9 +299,9 @@ def test_json_round_trip():
 
 def test_fuel_exhaustion_signals_internal_error(monkeypatch):
     monkeypatch.setattr(ir, "STRAIGHTEN_FUEL", 1)
+    ir.GLOBAL_CACHE.clear()
     with pytest.raises(FuelExhausted):
-        straighten_graph(6, ((1, 3), (2, 4), (2, 5), (4, 6)),
-                         cache=StraightenCache())
+        straighten_graph(6, ((1, 3), (2, 4), (2, 5), (4, 6)))
 
 
 def test_concurrent_straightening_shares_cache():
@@ -321,11 +317,12 @@ def test_concurrent_straightening_shares_cache():
 
 
 def test_cache_stats_move():
-    cache = StraightenCache()
-    straighten_graph(6, ((1, 3), (2, 5), (4, 6)), cache=cache)
+    cache = ir.GLOBAL_CACHE
+    cache.clear()
+    straighten_graph(6, ((1, 3), (2, 5), (4, 6)))
     assert cache.stats()["entries"] > 0
     first = cache.stats()["misses"]
-    straighten_graph(6, ((1, 3), (2, 5), (4, 6)), cache=cache)
+    straighten_graph(6, ((1, 3), (2, 5), (4, 6)))
     assert cache.stats()["misses"] == first
     assert cache.stats()["hits"] >= 1
 
@@ -337,5 +334,7 @@ def test_expansion_does_not_depend_on_n():
     two_regular = [tuple(sorted(m1 + m2))
                    for m1, m2 in itertools.combinations_with_replacement(matchings, 2)]
     for key in matchings + two_regular:
-        assert straighten_graph(6, key, cache=StraightenCache()) == \
-            straighten_graph(8, key, cache=StraightenCache())
+        ir.GLOBAL_CACHE.clear()
+        on_six = straighten_graph(6, key)
+        ir.GLOBAL_CACHE.clear()
+        assert straighten_graph(8, key) == on_six

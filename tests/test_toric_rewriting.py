@@ -8,19 +8,16 @@ from plucker.toric_rewriting import (
     CatWeighting,
     balance,
     balance_triples,
-    balance_with_trace,
     enumerate_reduced_matchings,
     is_balanced,
-    merge_pair,
     normal_form,
     quadratic_neighbors,
     sum_weighting,
     toric_segre_move,
-    truncate,
     type_vector,
-    untruncate,
 )
 from plucker.toric_trees import build_y_tree
+from support import leaf_edge_weight, truncate, untruncate
 
 
 def test_enumerate_reduced_matchings():
@@ -45,7 +42,8 @@ def test_tree_weighting_round_trip():
     for r in (3, 4, 5):
         for m in enumerate_reduced_matchings(r):
             w = untruncate(m, 1)
-            assert w.tree is build_y_tree(r) and w.is_regular(1)
+            assert w.tree is build_y_tree(r)
+            assert all(leaf_edge_weight(w, l) == 1 for l in w.tree.leaves())
             assert truncate(w) == (m, 1)
 
 
@@ -66,6 +64,7 @@ def test_is_balanced():
     big = CatWeighting(4, (1, 1, 1, 1), (2,))
     small = CatWeighting(4, (0, 0, 0, 0), (0,))
     assert not is_balanced((big, small))
+    assert is_balanced(balance((big, small)))
     ok = CatWeighting(4, (1, 1, 1, 1), (1,))
     assert is_balanced((big, ok))
 
@@ -83,9 +82,7 @@ def test_balance_already_balanced_unchanged():
 
 def test_balance_triple_example():
     # one application of the (a+1, b, c+1), (a-1, b, c-1) move
-    out, trace = balance_triples([(0, 0, 0), (2, 1, 2)])
-    assert out == [(1, 0, 1), (1, 1, 1)]
-    assert len(trace) == 1
+    assert balance_triples([(0, 0, 0), (2, 1, 2)]) == [(1, 0, 1), (1, 1, 1)]
     # through the public API on the third caterpillar
     a = CatWeighting(3, (0, 0, 0), ())
     b = CatWeighting(3, (2, 1, 2), ())
@@ -104,14 +101,6 @@ def test_balance_preserves_sums():
         assert is_balanced(out)
         for entry in out:
             assert entry.is_admissible()
-
-
-def test_balance_trace_is_recorded():
-    a = CatWeighting(4, (1, 1, 1, 1), (2,))
-    b = CatWeighting(4, (0, 0, 0, 0), (0,))
-    out, traces = balance_with_trace((a, b))
-    assert is_balanced(out)
-    assert any(traces[v] for v in traces)
 
 
 def test_is_unbreakable():
@@ -345,51 +334,3 @@ def test_normal_form_is_ascending_in_the_letter_order():
         for v in range(3, 4):  # interior trinode of the 5th caterpillar
             keys = [letter_key(e, v) for e in nf]
             assert keys == sorted(keys)
-
-
-def test_split_and_concat_at_zero_edge():
-    rng = random.Random(7)
-    from plucker.toric_rewriting import concat_at_base, split_at_base
-
-    done = 0
-    while done < 100:
-        r = rng.choice((4, 5, 6))
-        pool = enumerate_reduced_matchings(r)
-        tup = balance(tuple(rng.choice(pool) for _ in range(rng.randint(1, 3))))
-        cuts = [j for j in range(2, r - 1)
-                if all(e.base(j) <= 1 for e in tup)]
-        if not cuts:
-            continue
-        j = rng.choice(cuts)
-        left, right = split_at_base(tup, j)
-        assert all(e.is_reduced_matching() for e in left + right)
-        glued = concat_at_base(left, right)
-        assert sum_weighting(glued) == sum_weighting(tup)
-        # the pairing regroups entries but each glued entry is admissible
-        assert all(e.is_reduced_matching() for e in glued)
-        done += 1
-    # identity pairing when every entry agrees on the cut edge
-    a = CatWeighting(5, (1, 1, 1, 1, 1), (1, 2))
-    b = CatWeighting(5, (1, 0, 1, 0, 1), (1, 1))
-    left, right = split_at_base((a, b), 2)
-    assert concat_at_base(left, right) == (a, b)
-    with pytest.raises(ValueError):
-        split_at_base((CatWeighting(5, (1, 1, 1, 1, 1), (2, 2)),), 2)
-
-
-def test_merge_pair_lemma():
-    rng = random.Random(5)
-    checked = 0
-    while checked < 500:
-        r = rng.choice((4, 5, 6))
-        pool = [m for m in enumerate_reduced_matchings(r) if m.is_unbreakable()]
-        x, y = rng.choice(pool), rng.choice(pool)
-        if not is_balanced((x, y)):
-            continue
-        eta, eta2 = merge_pair(x, y)
-        assert eta + eta2 == x + y
-        assert eta.bases == tuple(min(a, b) for a, b in zip(x.bases, y.bases))
-        assert eta2.bases == tuple(max(a, b) for a, b in zip(x.bases, y.bases))
-        assert eta.is_reduced_matching() and eta2.is_reduced_matching()
-        assert eta.is_unbreakable() and eta2.is_unbreakable()
-        checked += 1
