@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 import time
 
@@ -32,7 +33,6 @@ from .relations import (
     SymElement,
     evaluate_sym,
     ideal_component_dim,
-    orbit_span_check,
     project_to_ring,
     segre8,
     segre_cubic,
@@ -46,39 +46,6 @@ EXIT_OK = 0
 EXIT_CRITERION_FAILED = 1
 EXIT_PARSE = 2
 EXIT_FUEL = 70
-
-COMMAND_SCHEMA = {
-    "type": "object",
-    "required": ["command"],
-    "properties": {"command": {"type": "string"}},
-}
-
-REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["suite", "inputs", "criteria", "pass", "cache", "seconds"],
-    "properties": {
-        "suite": {"type": "string"},
-        "inputs": {"type": "object"},
-        "pass": {"type": "boolean"},
-        "seconds": {"type": "number"},
-        "cache": {
-            "type": "object",
-            "required": ["hits", "misses", "entries"],
-        },
-        "criteria": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["criterion", "pass", "seconds"],
-                "properties": {
-                    "criterion": {"type": "string"},
-                    "pass": {"type": "boolean"},
-                    "seconds": {"type": "number"},
-                },
-            },
-        },
-    },
-}
 
 
 class CliParseError(ValueError):
@@ -243,8 +210,6 @@ def cmd_relation(args) -> int:
         _print(payload, args.json, rel.to_json())
         return EXIT_OK
     # verify: straightening projection and the evaluation oracle
-    import random
-
     rng = random.Random(args.seed)
     projected = project_to_ring(rel).is_zero()
     values = [evaluate_sym(rel, reports.random_config(rel.n, rng))
@@ -276,7 +241,7 @@ def cmd_orbit_span(args) -> int:
             raise CliParseError(str(exc)) from exc
     else:
         raise CliParseError("orbit-span needs --builtin or --element")
-    rank, spans = orbit_span_check(rel)
+    rank, spans = symmetry_rep.orbit_span_check(rel)
     payload = {"command": "orbit-span", "n": rel.n, "degree": rel.degree,
                "rank": rank, "spans_ideal": spans}
     _print(payload, args.json, f"rank={rank} spans_ideal={spans}")

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .invariant_ring import RingElement, straighten, y_of
-from .relations import GenSegreDatum, SquareRotationDatum
+from .invariant_ring import RingElement
+from .relations import GenSegreDatum, SquareRotationDatum, SymElement, project_to_ring
 
 # (black layer, drawn blue edges, coefficient); blue completion adds {1,6}
 ID6_TERMS = (
@@ -54,18 +54,16 @@ ID8_TERMS = (
 
 def id8_residual() -> RingElement:
     """Straightened sum of the eight-point identity; zero when it holds."""
-    total = RingElement.zero(8)
-    for pairs, coeff in ID8_TERMS:
-        total = total + y_of(8, pairs).scale(coeff)
-    return straighten(total)
+    return project_to_ring(SymElement.from_terms(
+        8, 1, [((pairs,), coeff) for pairs, coeff in ID8_TERMS]))
 
 
 def id6_residual() -> dict:
     """Tensor coordinates of the six-point identity; empty when it holds."""
     total: dict = {}
     for black, blue, coeff in ID6_TERMS:
-        a = straighten(y_of(6, black))
-        b = straighten(y_of(6, blue + [(1, 6)]))
+        a = project_to_ring(SymElement.monomial(6, (black,)))
+        b = project_to_ring(SymElement.monomial(6, (blue + [(1, 6)],)))
         for g, cg in a.terms.items():
             for h, ch in b.terms.items():
                 key = (g, h)

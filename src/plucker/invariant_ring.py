@@ -1,9 +1,9 @@
-"""The invariant ring: graph combinations, straightening, Kempe factorization.
+"""The invariant ring: X-graph combinations, straightening and evaluation.
 
 A ring element is a finitely supported rational combination of canonical
-loop-free directed graphs on 1..n.  The straightening algorithm rewrites any
-element into the non-crossing basis by resolving crossing edge pairs with the
-Plucker relation
+loop-free directed graphs (X-graphs) on 1..n.  The straightening algorithm
+rewrites any element into the non-crossing basis by resolving crossing edge
+pairs with the Plucker relation
 
     X_ab X_cd = X_ad X_cb + X_ac X_bd
 
@@ -11,6 +11,11 @@ always picking the lexicographically smallest crossing pair.  Expansions of
 single graphs, and of every intermediate graph met on the way, are memoized
 in a process-wide in-process dict keyed by the canonical graph alone: the
 expansion of a graph does not depend on n, which only names the label set.
+``degree_trace`` gives the dimensions and characters of the graded pieces
+without building them.
+
+Matchings as Y-generators, with their orientation signs, and Kempe
+factorization into them live in ``relations``.
 """
 
 from __future__ import annotations
@@ -21,18 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 
-from .graph_core import (
-    Edge,
-    GraphKey,
-    canonicalize,
-    check_labels,
-    is_regular,
-    json_edges,
-    json_int,
-    matching_key,
-    orientation_sign,
-    valences,
-)
+from .graph_core import GraphKey, canonicalize, check_labels, json_edges, json_int
 
 _LOG = logging.getLogger(__name__)
 
@@ -90,32 +84,19 @@ def first_crossing_pair(edges: GraphKey):
 
 
 def _plucker_children(edges: GraphKey, i: int, j: int) -> tuple[GraphKey, GraphKey]:
-    """Rewrite a CROSSING canonical pair; children stay canonical, signs +1."""
-    rest = edges[:i] + edges[i + 1:j] + edges[j + 1:]
-    a, b = edges[i]
-    c, d = edges[j]
-    if a > c:
-        (a, b), (c, d) = (c, d), (a, b)
-    # a < c < b < d; both replacement pairs are already min->max and non-crossing
-    g1 = tuple(sorted(rest + ((a, d), (c, b))))
-    g2 = tuple(sorted(rest + ((a, c), (b, d))))
-    return g1, g2
+    """Rewrite a crossing canonical pair; children stay canonical, signs +1.
 
-
-def plucker_rewrite(edges: GraphKey, i: int, j: int):
-    """X_ab X_cd = X_ad X_cb + X_ac X_bd on any edge pair, re-canonicalized.
-
-    Returns up to two (graph, sign) children; loop children are dropped.
+    ``edges[i] = (a, b)`` and ``edges[j] = (c, d)`` with i < j must cross, so
+    a < c < b < d: the edges are sorted, which gives a <= c, and a crossing
+    pair has a < c.  Both replacement pairs are then min->max and
+    non-crossing.
     """
     rest = edges[:i] + edges[i + 1:j] + edges[j + 1:]
     a, b = edges[i]
     c, d = edges[j]
-    out = []
-    for pair in (((a, d), (c, b)), ((a, c), (b, d))):
-        cf = canonicalize(rest + pair)
-        if cf.sign:
-            out.append((cf.graph, cf.sign))
-    return out
+    g1 = tuple(sorted(rest + ((a, d), (c, b))))
+    g2 = tuple(sorted(rest + ((a, c), (b, d))))
+    return g1, g2
 
 
 def straighten_graph(n: int, key: GraphKey) -> dict[GraphKey, int]:
@@ -240,12 +221,6 @@ def x_of(n: int, edges) -> RingElement:
     return RingElement(n, {cf.graph: Fraction(cf.sign)})
 
 
-def y_of(n: int, pairs) -> RingElement:
-    """Y of an undirected matching: eps(min->max direction) times its X."""
-    key = matching_key(pairs)
-    return RingElement(n, {key: Fraction(orientation_sign(key))})
-
-
 def straighten(e: RingElement) -> RingElement:
     """Rewrite into the non-crossing basis; a projection onto normal forms."""
     acc: dict[GraphKey, Fraction] = {}
@@ -339,147 +314,3 @@ def hilbert_dim(n: int, d: int) -> int:
     if n < 2 or n % 2 or d < 0:
         raise ValueError(f"need even n >= 2 and d >= 0, got n={n}, d={d}")
     return degree_trace((1,) * n, d)
-
-
-# --- Kempe factorization ------------------------------------------------------
-
-def _find_perfect_matching(left, edges) -> list[Edge] | None:
-    """Perfect matching in a bipartite multigraph by augmenting paths."""
-    adj: dict[int, list[int]] = {u: [] for u in left}
-    for a, b in edges:
-        if a in adj:
-            adj[a].append(b)
-        else:
-            adj[b].append(a)
-    match_r: dict[int, int] = {}
-
-    def augment(u, seen):
-        for v in adj[u]:
-            if v in seen:
-                continue
-            seen.add(v)
-            if v not in match_r or augment(match_r[v], seen):
-                match_r[v] = u
-                return True
-        return False
-
-    for u in left:
-        if not augment(u, set()):
-            return None
-    return [(u, v) for v, u in match_r.items()]
-
-
-def _peel_matchings(n: int, key: GraphKey, d: int) -> list[GraphKey]:
-    """Split a d-regular bipartite-neutral graph into d matchings (Hall)."""
-    pos = [v for v in range(1, n // 2 + 1)]
-    remaining = list(key)
-    layers = []
-    for _ in range(d):
-        m = _find_perfect_matching(pos, remaining)
-        assert m is not None, "Hall factorization failed on a regular bipartite graph"
-        layer = matching_key(m)
-        layers.append(layer)
-        for e in layer:
-            remaining.remove(e)
-    assert not remaining
-    return layers
-
-
-def _cycle_peel_two_regular(n: int, key: GraphKey):
-    """Split a 2-regular graph into two matchings by alternating its cycles.
-
-    Returns None when some cycle is odd.  Deterministic: in each cycle the
-    edge from the smallest vertex toward its smallest neighbor opens layer 1.
-    """
-    slots: dict[int, list[tuple[int, int]]] = {}
-    for idx, (a, b) in enumerate(key):
-        slots.setdefault(a, []).append((idx, b))
-        slots.setdefault(b, []).append((idx, a))
-    used = [False] * len(key)
-    layers: tuple[list, list] = ([], [])
-    for start in sorted(slots):
-        begin = [(idx, w) for idx, w in sorted(slots[start]) if not used[idx]]
-        if not begin:
-            continue
-        idx, nxt = begin[0]
-        parity = 0
-        cur = start
-        while True:
-            used[idx] = True
-            layers[parity].append((min(cur, nxt), max(cur, nxt)))
-            parity ^= 1
-            cur = nxt
-            options = [(i2, w2) for i2, w2 in sorted(slots[cur]) if not used[i2]]
-            if not options:
-                break
-            idx, nxt = options[0]
-        if parity != 0:
-            return None  # odd cycle
-    return tuple(sorted(layers[0])), tuple(sorted(layers[1]))
-
-
-def kempe_factor(n: int, edges):
-    """Write a regular graph as a combination of products of d matchings.
-
-    The degree d is the graph's valence; an irregular graph raises.
-
-    A matching maps to itself and a 2-regular union of even cycles peels
-    directly by alternation; otherwise the +/- split is fixed (positives
-    1..n/2, negatives n/2+1..n), positive edges are Pluckered against
-    negative ones until everything is neutral, and each bipartite term is
-    factored into matchings via Hall's theorem.  The image in the ring always
-    straightens to the same expansion as X of the input.
-    """
-    from .relations import SymElement  # local import to avoid a cycle
-
-    cf = canonicalize(edges)
-    if cf.sign == 0:
-        raise ValueError("graph has a loop")
-    d = max(valences(n, cf.graph))
-    if not is_regular(n, cf.graph, d):
-        raise ValueError("graph is not regular")
-    if d == 0:
-        raise ValueError("degree must be >= 1")
-    if d == 1:
-        return SymElement.from_terms(
-            n, 1, [((cf.graph,), Fraction(cf.sign * orientation_sign(cf.graph)))])
-    if d == 2:
-        peeled = _cycle_peel_two_regular(n, cf.graph)
-        if peeled is not None:
-            m1, m2 = peeled
-            sign = cf.sign * orientation_sign(m1) * orientation_sign(m2)
-            return SymElement.from_terms(n, 2, [((m1, m2), Fraction(sign))])
-    half = n // 2
-
-    def edge_type(e: Edge) -> int:
-        a, b = e
-        pa, pb = a <= half, b <= half
-        if pa and pb:
-            return 1
-        if not pa and not pb:
-            return -1
-        return 0
-
-    work: dict[GraphKey, int] = {cf.graph: cf.sign}
-    done: dict[GraphKey, int] = {}
-    while work:
-        key, coeff = work.popitem()
-        pos = [i for i, e in enumerate(key) if edge_type(e) == 1]
-        neg = [i for i, e in enumerate(key) if edge_type(e) == -1]
-        if not pos:
-            assert not neg
-            done[key] = done.get(key, 0) + coeff
-            continue
-        i, j = min(pos[0], neg[0]), max(pos[0], neg[0])
-        for child, sign in plucker_rewrite(key, i, j):
-            work[child] = work.get(child, 0) + coeff * sign
-    terms = []
-    for key, coeff in done.items():
-        if not coeff:
-            continue
-        layers = _peel_matchings(n, key, d)
-        sign = 1
-        for layer in layers:
-            sign *= orientation_sign(layer)
-        terms.append((tuple(sorted(layers)), Fraction(coeff * sign)))
-    return SymElement.from_terms(n, d, terms)

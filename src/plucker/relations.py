@@ -2,19 +2,24 @@
 
 A SymElement of degree k is a rational combination of monomials, each
 monomial an unordered multiset of k perfect matchings (a k-colored graph with
-the colors forgotten).  Monomials are written in the Y-convention, so the
-coefficient of a monomial is the coefficient of the product of the
-corresponding Y generators.
+the colors forgotten).  Monomials are written in the Y-convention: Y of a
+matching is its X-graph directed min->max times the orientation sign of
+that direction, so the coefficient of a monomial is the coefficient of the
+product of the corresponding Y generators.  This module is the only place
+that applies the convention (``_y_product``); ``invariant_ring`` sees only
+X-graphs.  Kempe factorization writes a regular X-graph back as a
+combination of Y-monomials.
 
 The relation ideal in a fixed degree is computed as the kernel of the
 projection onto the invariant ring, written as an exact integer matrix over
 the monomial basis (multisets of non-crossing matchings) and the non-crossing
-graph basis.
+graph basis.  Orbit spans of a relation are in ``symmetry_rep``.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,9 +27,12 @@ from math import lcm
 
 from . import exact_linalg
 from .graph_core import (
+    Edge,
     GraphKey,
     canonicalize,
     connected_component_partition,
+    enumerate_noncrossing_regular,
+    is_regular,
     json_edges,
     json_int,
     matching_key,
@@ -32,7 +40,7 @@ from .graph_core import (
     orientation_sign,
     valences,
 )
-from .invariant_ring import RingElement, kempe_factor, straighten, straighten_graph
+from .invariant_ring import RingElement, evaluate, straighten, straighten_graph
 
 Monomial = tuple[GraphKey, ...]  # sorted multiset of matchings
 
@@ -106,8 +114,6 @@ class SymElement:
         return f"SymElement(n={self.n}, deg={self.degree}, " + " + ".join(bits) + ")"
 
     def to_json(self) -> str:
-        import json
-
         terms = [{"coeff": str(c),
                   "monomial": [[list(e) for e in m] for m in key]}
                  for key, c in sorted(self.terms.items())]
@@ -115,8 +121,6 @@ class SymElement:
 
     @classmethod
     def from_json(cls, text: str) -> "SymElement":
-        import json
-
         obj = json.loads(text)
         items = []
         for t in obj["terms"]:
@@ -157,8 +161,6 @@ def evaluate_sym(e: SymElement, config) -> Fraction:
     determinants, with no straightening involved, so it is an independent
     oracle for relations.
     """
-    from .invariant_ring import evaluate
-
     return evaluate(_product_graphs(e), config)
 
 
@@ -231,6 +233,161 @@ def append_matching(e: SymElement, m: GraphKey) -> SymElement:
     return SymElement.from_terms(
         e.n, e.degree + 1,
         [(mono + (key,), c) for mono, c in e.terms.items()])
+
+
+# --- Kempe factorization ------------------------------------------------------
+
+def plucker_rewrite(edges: GraphKey, i: int, j: int):
+    """X_ab X_cd = X_ad X_cb + X_ac X_bd on any edge pair, re-canonicalized.
+
+    Returns up to two (graph, sign) children; loop children are dropped.
+    """
+    rest = edges[:i] + edges[i + 1:j] + edges[j + 1:]
+    a, b = edges[i]
+    c, d = edges[j]
+    out = []
+    for pair in (((a, d), (c, b)), ((a, c), (b, d))):
+        cf = canonicalize(rest + pair)
+        if cf.sign:
+            out.append((cf.graph, cf.sign))
+    return out
+
+
+def _find_perfect_matching(left, edges) -> list[Edge] | None:
+    """Perfect matching in a bipartite multigraph by augmenting paths."""
+    adj: dict[int, list[int]] = {u: [] for u in left}
+    for a, b in edges:
+        if a in adj:
+            adj[a].append(b)
+        else:
+            adj[b].append(a)
+    match_r: dict[int, int] = {}
+
+    def augment(u, seen):
+        for v in adj[u]:
+            if v in seen:
+                continue
+            seen.add(v)
+            if v not in match_r or augment(match_r[v], seen):
+                match_r[v] = u
+                return True
+        return False
+
+    for u in left:
+        if not augment(u, set()):
+            return None
+    return [(u, v) for v, u in match_r.items()]
+
+
+def _peel_matchings(n: int, key: GraphKey, d: int) -> list[GraphKey]:
+    """Split a d-regular bipartite-neutral graph into d matchings (Hall)."""
+    pos = [v for v in range(1, n // 2 + 1)]
+    remaining = list(key)
+    layers = []
+    for _ in range(d):
+        m = _find_perfect_matching(pos, remaining)
+        assert m is not None, "Hall factorization failed on a regular bipartite graph"
+        layer = matching_key(m)
+        layers.append(layer)
+        for e in layer:
+            remaining.remove(e)
+    assert not remaining
+    return layers
+
+
+def _cycle_peel_two_regular(n: int, key: GraphKey):
+    """Split a 2-regular graph into two matchings by alternating its cycles.
+
+    Returns None when some cycle is odd.  Deterministic: in each cycle the
+    edge from the smallest vertex toward its smallest neighbor opens layer 1.
+    """
+    slots: dict[int, list[tuple[int, int]]] = {}
+    for idx, (a, b) in enumerate(key):
+        slots.setdefault(a, []).append((idx, b))
+        slots.setdefault(b, []).append((idx, a))
+    used = [False] * len(key)
+    layers: tuple[list, list] = ([], [])
+    for start in sorted(slots):
+        begin = [(idx, w) for idx, w in sorted(slots[start]) if not used[idx]]
+        if not begin:
+            continue
+        idx, nxt = begin[0]
+        parity = 0
+        cur = start
+        while True:
+            used[idx] = True
+            layers[parity].append((min(cur, nxt), max(cur, nxt)))
+            parity ^= 1
+            cur = nxt
+            options = [(i2, w2) for i2, w2 in sorted(slots[cur]) if not used[i2]]
+            if not options:
+                break
+            idx, nxt = options[0]
+        if parity != 0:
+            return None  # odd cycle
+    return tuple(sorted(layers[0])), tuple(sorted(layers[1]))
+
+
+def kempe_factor(n: int, edges):
+    """Write a regular graph as a combination of products of d matchings.
+
+    The degree d is the graph's valence; an irregular graph raises.
+
+    A matching maps to itself and a 2-regular union of even cycles peels
+    directly by alternation; otherwise the +/- split is fixed (positives
+    1..n/2, negatives n/2+1..n), positive edges are Pluckered against
+    negative ones until everything is neutral, and each bipartite term is
+    factored into matchings via Hall's theorem.  The image in the ring always
+    straightens to the same expansion as X of the input.
+    """
+    cf = canonicalize(edges)
+    if cf.sign == 0:
+        raise ValueError("graph has a loop")
+    d = max(valences(n, cf.graph))
+    if not is_regular(n, cf.graph, d):
+        raise ValueError("graph is not regular")
+    if d == 0:
+        raise ValueError("degree must be >= 1")
+    if d == 1:
+        return SymElement.from_terms(
+            n, 1, [((cf.graph,), Fraction(cf.sign * orientation_sign(cf.graph)))])
+    if d == 2:
+        peeled = _cycle_peel_two_regular(n, cf.graph)
+        if peeled is not None:
+            sign = cf.sign * _y_product(peeled)[0]
+            return SymElement.from_terms(n, 2, [(peeled, Fraction(sign))])
+    half = n // 2
+
+    def edge_type(e: Edge) -> int:
+        a, b = e
+        pa, pb = a <= half, b <= half
+        if pa and pb:
+            return 1
+        if not pa and not pb:
+            return -1
+        return 0
+
+    work: dict[GraphKey, int] = {cf.graph: cf.sign}
+    done: dict[GraphKey, int] = {}
+    while work:
+        key, coeff = work.popitem()
+        pos = [i for i, e in enumerate(key) if edge_type(e) == 1]
+        neg = [i for i, e in enumerate(key) if edge_type(e) == -1]
+        if not pos:
+            assert not neg
+            done[key] = done.get(key, 0) + coeff
+            continue
+        i, j = min(pos[0], neg[0]), max(pos[0], neg[0])
+        for child, sign in plucker_rewrite(key, i, j):
+            work[child] = work.get(child, 0) + coeff * sign
+    terms = []
+    for key, coeff in done.items():
+        if not coeff:
+            continue
+        layers = _peel_matchings(n, key, d)
+        sign = _y_product(layers)[0]
+        terms.append((tuple(sorted(layers)), Fraction(coeff * sign)))
+    return SymElement.from_terms(n, d, terms)
 
 
 # --- relation constructors ------------------------------------------------------
@@ -562,8 +719,6 @@ def relation_matrix(n: int, k: int) -> exact_linalg.QMatrix:
     Rows: non-crossing k-regular graphs (lex order).  Columns: sorted
     monomial multisets of non-crossing matchings (lex order).
     """
-    from .graph_core import enumerate_noncrossing_regular
-
     _check_feasible(n, k)
     rows = enumerate_noncrossing_regular(n, k)
     row_index = {g: i for i, g in enumerate(rows)}
@@ -622,28 +777,6 @@ def in_quadratic_ideal(e: SymElement) -> bool:
         raise ValueError(f"Q^(3) holds cubic elements, got degree {e.degree}")
     _, span = _quadratic_ideal_span(e.n)
     return span.contains(coords_vector(e))
-
-
-def orbit_span_check(rel: SymElement):
-    """Rank of the S_n-orbit span of a relation; does it fill I^(k)?
-
-    Requires the input to project to zero (so the orbit stays inside the
-    ideal and the rank scan may stop early at the ideal dimension).
-    """
-    from .symmetry_rep import act_sym, all_perms
-
-    n, k = rel.n, rel.degree
-    target = ideal_component_dim(n, k)
-    if rel.is_zero():
-        return 0, target == 0
-    if not project_to_ring(rel).is_zero():
-        raise ValueError("element is not a relation")
-    span = exact_linalg.IncrementalSpan(len(sym_basis(n, k)))
-    for sigma in all_perms(n):
-        span.add(coords_vector(act_sym(sigma, rel)))
-        if span.dim == target:
-            return target, True
-    return span.dim, span.dim == target
 
 
 def count_good_bipartitions(n: int) -> int:

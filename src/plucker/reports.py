@@ -8,6 +8,7 @@ deterministic and exact.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 
@@ -21,7 +22,6 @@ from .relations import (
     ideal_component_dim,
     ideal_kernel_basis,
     in_quadratic_ideal,
-    orbit_span_check,
     project_to_ring,
     quadratic_ideal_component,
     relation_matrix,
@@ -84,7 +84,7 @@ def criterion_ideal_dimensions(**_) -> dict:
 def criterion_orbit_spans_quadratics(**_) -> dict:
     """4. One simplest binomial generates I2_8 as an S_8-module."""
     rel = simplest_binomial((1, 2, 6, 5), (3, 4, 8, 7))
-    rank, spans = orbit_span_check(rel)
+    rank, spans = symmetry_rep.orbit_span_check(rel)
     return {"pass": rank == 14 and spans, "rank": rank, "spans": spans}
 
 
@@ -205,8 +205,6 @@ def criterion_toric_plucker(seed: int = 0, trials: int = 500, **_) -> dict:
 
 def criterion_rewriting(seed: int = 0, trials: int = 500, **_) -> dict:
     """13. Balancing, unique normal forms, type invariance, the cubic move."""
-    import itertools
-
     rng = random.Random(seed)
     ok = True
     # balance: sums preserved, balanced achieved
@@ -219,18 +217,12 @@ def criterion_rewriting(seed: int = 0, trials: int = 500, **_) -> dict:
             toric_rewriting.sum_weighting(tup)
         ok = ok and toric_rewriting.is_balanced(out)
     # normal form: unique across randomized quadratic-equivalent tuples
-    unbreakable = {r: [m for m in toric_rewriting.enumerate_reduced_matchings(r)
-                       if m.is_unbreakable()] for r in (4, 5, 6)}
-    pair_index: dict = {}
-    for r, pool in unbreakable.items():
-        index: dict = {}
-        for x in pool:
-            for y in pool:
-                index.setdefault(x + y, []).append((x, y))
-        pair_index[r] = index
+    unbreakable = {r: tuple(m for m in toric_rewriting.enumerate_reduced_matchings(r)
+                            if m.is_unbreakable()) for r in (4, 5, 6)}
     for _ in range(trials):
         r = rng.choice((4, 5, 6))
         pool = unbreakable[r]
+        pairs = toric_rewriting.pairs_by_sum(pool)
         k = rng.randint(1, 4)
         tup = tuple(rng.choice(pool) for _ in range(k))
         scrambled = list(tup)
@@ -238,8 +230,7 @@ def criterion_rewriting(seed: int = 0, trials: int = 500, **_) -> dict:
             if k < 2:
                 break
             i, j = rng.sample(range(k), 2)
-            cands = pair_index[r][scrambled[i] + scrambled[j]]
-            scrambled[i], scrambled[j] = rng.choice(cands)
+            scrambled[i], scrambled[j] = rng.choice(pairs[scrambled[i] + scrambled[j]])
         nf = toric_rewriting.normal_form(tup)
         ok = ok and nf == toric_rewriting.normal_form(tuple(scrambled))
         ok = ok and toric_rewriting.normal_form(nf) == nf

@@ -1,10 +1,13 @@
-"""Symmetric group actions, characters, and the partition filtration.
+"""Symmetric group actions, orbit spans, characters, the partition filtration.
 
 The symmetric group acts on graphs by relabeling; on the Y generators the
-action is twisted by the sign character.  Characters of the induced actions
-on V, Sym^2(V), Lambda^2(V), R^(2) and I^(2) come from one trace formula,
-``invariant_ring.degree_trace`` (the SL_2 weight count), and the cycle index
-for the symmetric and exterior squares; nothing is straightened.
+action is twisted by the sign character.  ``orbit_span_check`` grows the
+span of one relation's orbit until it fills its piece of the ideal.
+
+Characters of the induced actions on V, Sym^2(V), Lambda^2(V), R^(2) and
+I^(2) come from one trace formula, ``invariant_ring.degree_trace`` (the
+SL_2 weight count), and the cycle index for the symmetric and exterior
+squares; nothing is straightened.
 
 All representation arithmetic is exact: Murnaghan-Nakayama for irreducible
 characters, the cycle-type formula for class sizes, hook lengths for
@@ -26,6 +29,8 @@ from .relations import (
     SymElement,
     component_partition_of_monomial,
     coords_vector,
+    ideal_component_dim,
+    project_to_ring,
     sym_basis,
 )
 
@@ -63,6 +68,26 @@ def act_sym(perm: Perm, e: SymElement) -> SymElement:
                     for m in mono)
         items.append((new, coeff * twist))
     return SymElement.from_terms(e.n, e.degree, items)
+
+
+def orbit_span_check(rel: SymElement):
+    """Rank of the S_n-orbit span of a relation; does it fill I^(k)?
+
+    Requires the input to project to zero (so the orbit stays inside the
+    ideal and the rank scan may stop early at the ideal dimension).
+    """
+    n, k = rel.n, rel.degree
+    target = ideal_component_dim(n, k)
+    if rel.is_zero():
+        return 0, target == 0
+    if not project_to_ring(rel).is_zero():
+        raise ValueError("element is not a relation")
+    span = exact_linalg.IncrementalSpan(len(sym_basis(n, k)))
+    for sigma in all_perms(n):
+        span.add(coords_vector(act_sym(sigma, rel)))
+        if span.dim == target:
+            return target, True
+    return span.dim, span.dim == target
 
 
 # --- partitions, characters, hook lengths ---------------------------------------

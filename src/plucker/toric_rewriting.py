@@ -395,35 +395,26 @@ def normal_form(tup):
 # --- small exhaustive move-graph machinery (used by reports) ---------------------
 
 @lru_cache(maxsize=16)
-def _combos_by_sum(universe: tuple, size: int) -> dict:
-    """The ``size``-tuples of universe entries, grouped by their sum."""
+def pairs_by_sum(universe: tuple) -> dict:
+    """The ordered pairs of universe entries, grouped by their sum.
+
+    Each group lists its pairs in ``itertools.product`` order.
+    """
     index: dict = {}
-    for combo in itertools.product(universe, repeat=size):
-        index.setdefault(sum_weighting(combo), []).append(combo)
+    for x, y in itertools.product(universe, repeat=2):
+        index.setdefault(x + y, []).append((x, y))
     return index
 
 
-def sum_preserving_replacements(tup, positions, universe):
-    """All ways to replace the entries at the given positions, keeping the sum."""
-    tup = tuple(tup)
-    target = sum_weighting([tup[i] for i in positions])
-    found = []
-    for combo in _combos_by_sum(tuple(universe), len(positions)).get(target, ()):
-        new = list(tup)
-        for pos, entry in zip(positions, combo):
-            new[pos] = entry
-        found.append(tuple(new))
-    return found
-
-
 def quadratic_neighbors(tup, universe):
-    """All tuples reachable by one sum-preserving move on at most 2 entries."""
+    """All tuples reachable by one sum-preserving move on two entries."""
     tup = tuple(tup)
+    index = pairs_by_sum(tuple(universe))
     out = set()
-    for i in range(len(tup)):
-        for j in range(i, len(tup)):
-            positions = (i,) if i == j else (i, j)
-            for new in sum_preserving_replacements(tup, positions, universe):
-                out.add(new)
+    for i, j in itertools.combinations(range(len(tup)), 2):
+        for x, y in index.get(tup[i] + tup[j], ()):
+            new = list(tup)
+            new[i], new[j] = x, y
+            out.add(tuple(new))
     out.discard(tup)
     return out

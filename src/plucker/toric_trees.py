@@ -2,9 +2,8 @@
 
 Trees are immutable: vertices 0..k-1, undirected edges indexed by position in
 a sorted edge list, and leaf labels 1..m attached bijectively to the
-valence-one vertices.  Y-trees and caterpillars carry role tags naming their
-stalks and base edges; the Y-tree is the caterpillar with two leaves sprouted
-from each of its leaves.
+valence-one vertices.  The Y-tree is the caterpillar with two leaves sprouted
+from each of its leaves; ``build_caterpillar`` documents the numbering.
 
 A weighting assigns a non-negative integer to every edge.  Admissible means
 the triangle inequalities and the even-sum parity condition hold at every
@@ -21,9 +20,7 @@ from functools import lru_cache
 class TrivalentTree:
     """Connected acyclic graph, every vertex of valence 1 or 3, leaves labeled."""
 
-    def __init__(self, num_vertices: int, edges, leaf_labels: dict[int, int],
-                 stalk_edges: dict[int, tuple[int, int]] | None = None,
-                 base_edges: dict[int, tuple[int, int]] | None = None):
+    def __init__(self, num_vertices: int, edges, leaf_labels: dict[int, int]):
         self.num_vertices = num_vertices
         self.edges: tuple[tuple[int, int], ...] = tuple(
             sorted(tuple(sorted(e)) for e in edges))
@@ -33,13 +30,6 @@ class TrivalentTree:
         for idx, (u, v) in enumerate(self.edges):
             self.adj[u].append((idx, v))
             self.adj[v].append((idx, u))
-        # role tags, present on Y-trees and caterpillars, given as vertex
-        # pairs and kept as stalk / base edge number -> edge index
-        index = {e: i for i, e in enumerate(self.edges)}
-        self.stalk_edges = {i: index[tuple(sorted(p))]
-                            for i, p in (stalk_edges or {}).items()}
-        self.base_edges = {j: index[tuple(sorted(p))]
-                           for j, p in (base_edges or {}).items()}
         self._validate()
         self._path_cache: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
@@ -120,8 +110,7 @@ def build_caterpillar(r: int) -> TrivalentTree:
     stalks = {1: (0, base[2]), r: (base[r - 1], 1)} | \
         {i: (base[i], leaves[i]) for i in range(2, r)}
     bases = {j: (base[j], base[j + 1]) for j in range(2, r - 1)}
-    return TrivalentTree(2 * r - 2, [*stalks.values(), *bases.values()],
-                         leaves, stalks, bases)
+    return TrivalentTree(2 * r - 2, [*stalks.values(), *bases.values()], leaves)
 
 
 @lru_cache(maxsize=None)
@@ -143,12 +132,7 @@ def build_y_tree(r: int) -> TrivalentTree:
         for label in (2 * i - 1, 2 * i):
             leaves[label] = k + label - 1
             edges.append((joint, k + label - 1))
-
-    def pairs(tags):
-        return {i: cat.edges[idx] for i, idx in tags.items()}
-
-    return TrivalentTree(k + 2 * r, edges, leaves,
-                         pairs(cat.stalk_edges), pairs(cat.base_edges))
+    return TrivalentTree(k + 2 * r, edges, leaves)
 
 
 @dataclass(frozen=True)
@@ -253,7 +237,9 @@ def _completion_counts(tree: TrivalentTree, d: int):
     Returns (table, root_edge, below, children): ``children[v]`` lists the
     (edge, vertex) pairs under trinode v, and ``table[e]`` maps a weight on
     edge e to the number of admissible completions of the subtree under e
-    with every leaf edge weighted d.  Raises ``ValueError`` on d < 0.
+    with every leaf edge weighted d.  The edges are filled in post-order by
+    a loop, so a deep tree needs no deep recursion.  Raises ``ValueError`` on
+    d < 0.
     """
     if d < 0:
         raise ValueError(f"degree must be >= 0, got {d}")
@@ -261,15 +247,21 @@ def _completion_counts(tree: TrivalentTree, d: int):
     (root_edge, below), = tree.adj[root_leaf]
     children: dict[int, list[tuple[int, int]]] = {}
     table: dict[int, dict[int, int]] = {}
-
-    def fill(e: int, v: int, parent: int) -> None:
+    # pre-order puts each edge after its parent edge, so walking it backwards
+    # fills both child tables before the parent's
+    preorder = []
+    stack = [(root_edge, below, root_leaf)]
+    while stack:
+        e, v, parent = stack.pop()
+        preorder.append((e, v))
+        if v not in tree.label_of_leaf:
+            children[v] = [(idx, w) for idx, w in tree.adj[v] if w != parent]
+            stack.extend((idx, w, v) for idx, w in children[v])
+    for e, v in reversed(preorder):
         if v in tree.label_of_leaf:
             table[e] = {d: 1}
-            return
-        children[v] = [(idx, w) for idx, w in tree.adj[v] if w != parent]
-        (e1, c1), (e2, c2) = children[v]
-        fill(e1, c1, v)
-        fill(e2, c2, v)
+            continue
+        (e1, _), (e2, _) = children[v]
         out: dict[int, int] = {}
         for w1, n1 in table[e1].items():
             for w2, n2 in table[e2].items():
@@ -278,8 +270,6 @@ def _completion_counts(tree: TrivalentTree, d: int):
                 for w in range(abs(w1 - w2), w1 + w2 + 1, 2):
                     out[w] = out.get(w, 0) + n1 * n2
         table[e] = out
-
-    fill(root_edge, below, root_leaf)
     return table, root_edge, below, children
 
 

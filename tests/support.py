@@ -1,4 +1,5 @@
-"""Functions that only the tests use: oracles and the truncation map.
+"""Functions that only the tests use: oracles, Y of a matching, the truncation
+map and the stalk and base edges it reads.
 
 None of these is on a path the program runs, so they live beside the tests
 rather than in ``plucker``.
@@ -6,9 +7,18 @@ rather than in ``plucker``.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
+from plucker.graph_core import matching_key, orientation_sign
 from plucker.invariant_ring import RingElement
 from plucker.toric_rewriting import CatWeighting
-from plucker.toric_trees import TreeWeighting, build_y_tree
+from plucker.toric_trees import TrivalentTree, TreeWeighting, build_y_tree
+
+
+def y_of(n: int, pairs) -> RingElement:
+    """Y of an undirected matching: eps(min->max direction) times its X."""
+    key = matching_key(pairs)
+    return RingElement(n, {key: Fraction(orientation_sign(key))})
 
 
 def crossing(e1, e2) -> bool:
@@ -37,6 +47,21 @@ def leaf_edge_weight(w: TreeWeighting, label: int) -> int:
     return w.weights[idx]
 
 
+def role_edges(tree: TrivalentTree, r: int) -> tuple[dict[int, int], dict[int, int]]:
+    """Stalk i -> edge index and base edge j -> edge index, for stalks 1..r.
+
+    The r-th caterpillar and the r-th Y-tree share the caterpillar's vertex
+    numbering (``build_caterpillar``): base vertex i is 2i - 2, stalk i's
+    tip is 2i - 1, and the end stalks join vertex 0 to 2 and 2r - 4 to 1.
+    """
+    index = {e: i for i, e in enumerate(tree.edges)}
+    stalks = {1: (0, 2), r: (1, 2 * r - 4)} | \
+        {i: (2 * i - 2, 2 * i - 1) for i in range(2, r)}
+    bases = {j: (2 * j - 2, 2 * j) for j in range(2, r - 1)}
+    return ({i: index[p] for i, p in stalks.items()},
+            {j: index[p] for j, p in bases.items()})
+
+
 def truncate(w: TreeWeighting) -> tuple[CatWeighting, int]:
     """Halve the stalks and base edges of a regular Y-tree weighting.
 
@@ -45,9 +70,10 @@ def truncate(w: TreeWeighting) -> tuple[CatWeighting, int]:
     and on an odd interior weight.
     """
     tree = w.tree
-    r = len(tree.stalk_edges)
+    r = tree.num_leaves // 2
     if r < 3 or tree is not build_y_tree(r):
         raise ValueError("truncation needs a weighting on a Y-tree")
+    stalk_edges, base_edges = role_edges(tree, r)
     degrees = {leaf_edge_weight(w, l) for l in tree.leaves()}
     if len(degrees) != 1:
         raise ValueError("weighting is not regular")
@@ -57,18 +83,19 @@ def truncate(w: TreeWeighting) -> tuple[CatWeighting, int]:
             raise ValueError("odd interior weight; cannot truncate")
         return w.weights[idx] // 2
 
-    return (CatWeighting(r, tuple(half(tree.stalk_edges[i]) for i in range(1, r + 1)),
-                         tuple(half(tree.base_edges[j]) for j in range(2, r - 1))),
+    return (CatWeighting(r, tuple(half(stalk_edges[i]) for i in range(1, r + 1)),
+                         tuple(half(base_edges[j]) for j in range(2, r - 1))),
             degrees.pop())
 
 
 def untruncate(c: CatWeighting, d: int) -> TreeWeighting:
     """Inverse of truncate: double the interior, leaf edges get the degree d."""
     tree = build_y_tree(c.r)
+    stalk_edges, base_edges = role_edges(tree, c.r)
     weights = [d] * len(tree.edges)  # every edge but a stalk or base is a leaf edge
-    for i, idx in tree.stalk_edges.items():
+    for i, idx in stalk_edges.items():
         weights[idx] = 2 * c.stalk(i)
-    for j, idx in tree.base_edges.items():
+    for j, idx in base_edges.items():
         weights[idx] = 2 * c.base(j)
     out = TreeWeighting(tree, tuple(weights))
     if not out.is_admissible():

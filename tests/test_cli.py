@@ -6,14 +6,43 @@ import sys
 import jsonschema
 
 import plucker
-from plucker.cli import (
-    COMMAND_SCHEMA,
-    EXIT_CRITERION_FAILED,
-    EXIT_FUEL,
-    EXIT_PARSE,
-    REPORT_SCHEMA,
-    main,
-)
+from plucker.cli import EXIT_CRITERION_FAILED, EXIT_FUEL, EXIT_PARSE, main
+from plucker.invariant_ring import hilbert_dim
+
+# The JSON contract of the CLI: every --json payload names its command, and
+# `report --json` has this shape.
+COMMAND_SCHEMA = {
+    "type": "object",
+    "required": ["command"],
+    "properties": {"command": {"type": "string"}},
+}
+
+REPORT_SCHEMA = {
+    "type": "object",
+    "required": ["suite", "inputs", "criteria", "pass", "cache", "seconds"],
+    "properties": {
+        "suite": {"type": "string"},
+        "inputs": {"type": "object"},
+        "pass": {"type": "boolean"},
+        "seconds": {"type": "number"},
+        "cache": {
+            "type": "object",
+            "required": ["hits", "misses", "entries"],
+        },
+        "criteria": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["criterion", "pass", "seconds"],
+                "properties": {
+                    "criterion": {"type": "string"},
+                    "pass": {"type": "boolean"},
+                    "seconds": {"type": "number"},
+                },
+            },
+        },
+    },
+}
 
 
 def run(capsys, *argv):
@@ -165,6 +194,14 @@ def test_toric_commands(capsys):
                        "--graph", "n=6; edges=1-4,2-3,5-6", "--json")
     assert code == 0
     assert json.loads(out)["graph"] == [[1, 3], [2, 4], [5, 6]]
+
+
+def test_toric_count_on_a_deep_tree(capsys):
+    # the Y-tree of r = 1100 is about 1100 levels deep; the count DP walks
+    # it by a loop, where one Python frame per level hit the recursion limit
+    code, out, err = run(capsys, "toric", "count", "--r", "1100", "--degree", "1")
+    assert (code, err) == (0, "")
+    assert int(out) == hilbert_dim(2200, 1)
 
 
 def test_normal_form_command(capsys):

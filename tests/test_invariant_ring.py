@@ -21,15 +21,14 @@ from plucker.invariant_ring import (
     evaluate,
     first_crossing_pair,
     hilbert_dim,
-    kempe_factor,
     straighten,
     straighten_graph,
     x_of,
-    y_of,
 )
+from plucker.relations import kempe_factor, project_to_ring
 from plucker.symmetry_rep import partitions
 from plucker.toric_trees import build_y_tree, count_admissible_regular
-from support import crossing, multiply
+from support import crossing, multiply, y_of
 
 
 def rand_config(n, rng):
@@ -248,8 +247,6 @@ def test_noncrossing_family_is_a_basis_of_functions():
 
 
 def test_kempe_factor_examples():
-    from plucker.relations import project_to_ring
-
     # a matching factors as itself
     m = ((1, 2), (3, 4))
     kf = kempe_factor(4, m)
@@ -270,8 +267,6 @@ def test_kempe_factor_examples():
 
 
 def test_kempe_factor_random_oracle():
-    from plucker.relations import project_to_ring
-
     rng = random.Random(7)
     for _ in range(25):
         n = rng.choice((4, 6, 8))

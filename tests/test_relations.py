@@ -11,7 +11,7 @@ from plucker.figures import (
     square_rotation_even_datum,
 )
 from plucker.graph_core import catalan, enumerate_matchings
-from plucker.invariant_ring import straighten, x_of, y_of
+from plucker.invariant_ring import straighten, x_of
 from plucker.relations import (
     BinomialQuadDatum,
     GenSegreDatum,
@@ -24,7 +24,6 @@ from plucker.relations import (
     ideal_component_dim,
     ideal_kernel_basis,
     in_quadratic_ideal,
-    orbit_span_check,
     outer_product,
     project_to_ring,
     quadratic_ideal_component,
@@ -38,8 +37,8 @@ from plucker.relations import (
     to_coords,
 )
 from plucker.reports import random_config
-from plucker.symmetry_rep import act_ring, act_sym
-from support import multiply
+from plucker.symmetry_rep import act_ring, act_sym, orbit_span_check
+from support import multiply, y_of
 
 
 def test_project_examples():

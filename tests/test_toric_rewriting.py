@@ -11,6 +11,7 @@ from plucker.toric_rewriting import (
     enumerate_reduced_matchings,
     is_balanced,
     normal_form,
+    pairs_by_sum,
     quadratic_neighbors,
     sum_weighting,
     toric_segre_move,
@@ -287,25 +288,18 @@ def test_normal_form_basics():
 
 def test_normal_form_unique_on_equivalent_tuples():
     rng = random.Random(3)
-    pools = {r: [m for m in enumerate_reduced_matchings(r) if m.is_unbreakable()]
+    pools = {r: tuple(m for m in enumerate_reduced_matchings(r) if m.is_unbreakable())
              for r in (4, 5, 6)}
-    pair_index = {}
-    for r, pool in pools.items():
-        idx = defaultdict(list)
-        for x in pool:
-            for y in pool:
-                idx[x + y].append((x, y))
-        pair_index[r] = idx
     for _ in range(200):
         r = rng.choice((4, 5, 6))
         pool = pools[r]
+        pairs = pairs_by_sum(pool)
         k = rng.randint(2, 4)
         tup = tuple(rng.choice(pool) for _ in range(k))
         scrambled = list(tup)
         for _ in range(rng.randint(1, 5)):
             i, j = rng.sample(range(k), 2)
-            scrambled[i], scrambled[j] = rng.choice(
-                pair_index[r][scrambled[i] + scrambled[j]])
+            scrambled[i], scrambled[j] = rng.choice(pairs[scrambled[i] + scrambled[j]])
         nf = normal_form(tup)
         assert nf == normal_form(tuple(scrambled))
         assert normal_form(nf) == nf

@@ -17,7 +17,7 @@ from plucker.toric_trees import (
     toric_plucker_applicable,
     weighting_of_graph,
 )
-from support import leaf_edge_weight, truncate, untruncate
+from support import leaf_edge_weight, role_edges, truncate, untruncate
 
 
 def add_weightings(a, b):
@@ -47,15 +47,18 @@ def test_y_tree_numbering_is_pinned():
     assert y3.edges == ((0, 2), (0, 4), (0, 5), (1, 2), (1, 8), (1, 9),
                         (2, 3), (3, 6), (3, 7))
     assert y3.leaf_of_label == {1: 4, 2: 5, 3: 6, 4: 7, 5: 8, 6: 9}
-    assert y3.stalk_edges == {1: 0, 2: 6, 3: 3}
-    assert y3.base_edges == {}
+    assert role_edges(y3, 3) == ({1: 0, 2: 6, 3: 3}, {})
     y4 = build_y_tree(4)
     assert y4.num_vertices == 14
     assert y4.edges == ((0, 2), (0, 6), (0, 7), (1, 4), (1, 12), (1, 13), (2, 3),
                         (2, 4), (3, 8), (3, 9), (4, 5), (5, 10), (5, 11))
     assert y4.leaf_of_label == {l: l + 5 for l in range(1, 9)}
-    assert y4.stalk_edges == {1: 0, 2: 6, 3: 10, 4: 3}
-    assert y4.base_edges == {2: 7}
+    assert role_edges(y4, 4) == ({1: 0, 2: 6, 3: 10, 4: 3}, {2: 7})
+    # the Y-trees take their stalks and base edges from the caterpillar
+    c4 = build_caterpillar(4)
+    assert c4.edges == ((0, 2), (1, 4), (2, 3), (2, 4), (4, 5))
+    assert c4.leaf_of_label == {1: 0, 2: 3, 3: 5, 4: 1}
+    assert role_edges(c4, 4) == ({1: 0, 2: 2, 3: 4, 4: 1}, {2: 3})
 
 
 def test_matched_pairs_and_labels():
@@ -113,14 +116,15 @@ def test_trun_wt_figure():
     # degree-one weighting on the 5th Y-tree with stalks (2,0,2,2,2) and
     # bases (2,4); it arises from a matching and truncates by halving
     y5 = build_y_tree(5)
+    stalk_edges, base_edges = role_edges(y5, 5)
     weights = [0] * len(y5.edges)
     for lab in range(1, 11):
         (idx, _), = y5.adj[y5.leaf_of_label[lab]]
         weights[idx] = 1
     for i, v in {1: 2, 2: 0, 3: 2, 4: 2, 5: 2}.items():
-        weights[y5.stalk_edges[i]] = v
+        weights[stalk_edges[i]] = v
     for j, v in {2: 2, 3: 4}.items():
-        weights[y5.base_edges[j]] = v
+        weights[base_edges[j]] = v
     tw = TreeWeighting(y5, tuple(weights))
     assert tw.is_admissible()
     assert all(leaf_edge_weight(tw, l) == 1 for l in y5.leaves())
@@ -146,13 +150,14 @@ def test_truncate_zero_and_additivity():
 
 def test_truncate_rejects_odd_interior():
     y3 = build_y_tree(3)
+    stalk_edges, _ = role_edges(y3, 3)
     weights = [0] * len(y3.edges)
     for lab in range(1, 7):
         (idx, _), = y3.adj[y3.leaf_of_label[lab]]
         weights[idx] = 1
-    weights[y3.stalk_edges[1]] = 1  # odd interior weight
-    weights[y3.stalk_edges[2]] = 1
-    weights[y3.stalk_edges[3]] = 2
+    weights[stalk_edges[1]] = 1  # odd interior weight
+    weights[stalk_edges[2]] = 1
+    weights[stalk_edges[3]] = 2
     w = TreeWeighting(y3, tuple(weights))
     with pytest.raises(ValueError):
         truncate(w)
@@ -172,10 +177,11 @@ def test_truncate_rejects_other_inputs():
 def test_truncate_round_trips_on_y_trees():
     for r in (3, 4, 5):
         tree = build_y_tree(r)
+        stalk_edges, base_edges = role_edges(tree, r)
         for d in (1, 2):
             for w in enumerate_admissible_regular(tree, d):
                 interior = [w.weights[i] for i in
-                            [*tree.stalk_edges.values(), *tree.base_edges.values()]]
+                            [*stalk_edges.values(), *base_edges.values()]]
                 if all(x % 2 == 0 for x in interior):
                     c, degree = truncate(w)
                     assert degree == d and untruncate(c, d) == w
