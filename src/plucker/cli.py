@@ -1,6 +1,6 @@
 """Command-line front end: straightening, relations, reports, toric tools.
 
-Exit codes: 0 success, 1 failed report criterion, 2 parse error,
+Exit codes: 0 success, 1 failed report criterion, 2 bad input,
 70 internal fuel exhaustion.  All subcommands accept ``--json``.
 
 The straightening memo lives in the process only; ``report --json`` shows
@@ -48,10 +48,6 @@ EXIT_PARSE = 2
 EXIT_FUEL = 70
 
 
-class CliParseError(ValueError):
-    pass
-
-
 def _read_arg(text: str) -> str:
     """Support @file and '-' (stdin) indirection for structured arguments."""
     if text == "-":
@@ -65,17 +61,14 @@ def _read_arg(text: str) -> str:
 def parse_element(text: str) -> RingElement:
     """Accept graph text, graph JSON, or ring-element JSON."""
     text = _read_arg(text).strip()
-    try:
-        if text.startswith("{"):
-            obj = json.loads(text)
-            if "terms" in obj:
-                return RingElement.from_json(text)
-            n, edges = parse_graph_json(text)
-        else:
-            n, edges = parse_graph(text)
-        return x_of(n, edges)
-    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
-        raise CliParseError(str(exc)) from exc
+    if text.startswith("{"):
+        obj = json.loads(text)
+        if "terms" in obj:
+            return RingElement.from_json(text)
+        n, edges = parse_graph_json(text)
+    else:
+        n, edges = parse_graph(text)
+    return x_of(n, edges)
 
 
 def _print(payload: dict, as_json: bool, text: str | None = None) -> None:
@@ -100,12 +93,9 @@ def cmd_straighten(args) -> int:
 
 def cmd_evaluate(args) -> int:
     e = parse_element(args.element)
-    try:
-        xs = [int(v) for v in args.points.split(",")]
-    except ValueError as exc:
-        raise CliParseError(str(exc)) from exc
+    xs = [int(v) for v in args.points.split(",")]
     if len(xs) != e.n:
-        raise CliParseError(f"need {e.n} points, got {len(xs)}")
+        raise ValueError(f"need {e.n} points, got {len(xs)}")
     value = evaluate(e, PointConfig.from_integers(xs))
     _print({"command": "evaluate", "points": xs, "value": str(value)},
            args.json, str(value))
@@ -128,10 +118,10 @@ def cmd_toric(args) -> int:
         return EXIT_OK
     if args.action == "greedy":
         if not args.graph:
-            raise CliParseError("greedy needs --graph")
+            raise ValueError("greedy needs --graph")
         n, edges = parse_graph(_read_arg(args.graph))
         if n != tree.num_leaves:
-            raise CliParseError(f"graph has n={n}, tree has {tree.num_leaves} leaves")
+            raise ValueError(f"graph has n={n}, tree has {tree.num_leaves} leaves")
         w = toric_trees.weighting_of_graph(edges, tree)
         graph = toric_trees.greedy_graph(w)
         payload = {"command": "toric-greedy", "r": args.r,
@@ -164,11 +154,7 @@ def _parse_cat_tuple(text: str):
 
 
 def cmd_normal_form(args) -> int:
-    try:
-        tup = _parse_cat_tuple(args.tuple)
-        result = toric_rewriting.normal_form(tup)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CliParseError(str(exc)) from exc
+    result = toric_rewriting.normal_form(_parse_cat_tuple(args.tuple))
     payload = {"command": "normal-form",
                "entries": [{"stalks": list(e.stalks), "bases": list(e.bases)}
                            for e in result]}
@@ -200,10 +186,7 @@ def _check_trials(trials: int) -> None:
 def cmd_relation(args) -> int:
     _check_trials(args.trials)
     data = json.loads(_read_arg(args.data)) if args.data else {}
-    try:
-        rel = _BUILTIN_RELATIONS[args.kind](data)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CliParseError(str(exc)) from exc
+    rel = _BUILTIN_RELATIONS[args.kind](data)
     payload = {"command": "relation", "kind": args.kind,
                "element": json.loads(rel.to_json())}
     if args.action == "construct":
@@ -235,12 +218,9 @@ def cmd_orbit_span(args) -> int:
     elif args.builtin == "segre6":
         rel = segre_cubic()
     elif args.element:
-        try:
-            rel = SymElement.from_json(_read_arg(args.element))
-        except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
-            raise CliParseError(str(exc)) from exc
+        rel = SymElement.from_json(_read_arg(args.element))
     else:
-        raise CliParseError("orbit-span needs --builtin or --element")
+        raise ValueError("orbit-span needs --builtin or --element")
     rank, spans = symmetry_rep.orbit_span_check(rel)
     payload = {"command": "orbit-span", "n": rel.n, "degree": rel.degree,
                "rank": rank, "spans_ideal": spans}
@@ -343,7 +323,7 @@ def main(argv=None) -> int:
     except FuelExhausted as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_FUEL
-    except (CliParseError, ValueError, OSError) as exc:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 Edge = tuple[int, int]
@@ -235,6 +236,14 @@ def json_int(value, what: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def json_coeff(value) -> Fraction:
+    """An exact coefficient read from JSON: a fraction string or an integer."""
+    if type(value) is not str and type(value) is not int:
+        raise ValueError(f"coefficient must be a fraction string or an integer, "
+                         f"got {value!r}")
+    return Fraction(value)
 
 
 def json_edges(edges) -> list[Edge]:

@@ -21,14 +21,18 @@ factorization into them live in ``relations``.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 
-from .graph_core import GraphKey, canonicalize, check_labels, json_edges, json_int
-
-_LOG = logging.getLogger(__name__)
+from .graph_core import (
+    GraphKey,
+    canonicalize,
+    check_labels,
+    json_coeff,
+    json_edges,
+    json_int,
+)
 
 # One straighten() call may not exceed this many Plucker rewrites; hitting the
 # bound means a bug in the termination argument, not bad user input.
@@ -209,7 +213,7 @@ class RingElement:
             edges = json_edges(t["edges"])
             check_labels(n, edges)
             cf = canonicalize(edges)
-            items.append((cf.graph, Fraction(t["coeff"]) * cf.sign))
+            items.append((cf.graph, json_coeff(t["coeff"]) * cf.sign))
         return cls.from_terms(n, items)
 
 
@@ -227,14 +231,7 @@ def straighten(e: RingElement) -> RingElement:
     for key, coeff in e.terms.items():
         for h, c in straighten_graph(e.n, key).items():
             acc[h] = acc.get(h, Fraction(0)) + coeff * c
-    out = RingElement(e.n, {k: v for k, v in acc.items() if v})
-    # observed, not asserted: integer inputs straighten to integer outputs
-    # (the single-graph expansions are integral), so integrality can only
-    # break through non-integer input coefficients
-    if all(v.denominator == 1 for v in e.terms.values()) and \
-            any(v.denominator != 1 for v in out.terms.values()):
-        _LOG.info("integrality broke during straightening on n=%d", e.n)
-    return out
+    return RingElement(e.n, {k: v for k, v in acc.items() if v})
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from .graph_core import (
     connected_component_partition,
     enumerate_noncrossing_regular,
     is_regular,
+    json_coeff,
     json_edges,
     json_int,
     matching_key,
@@ -72,6 +73,8 @@ class SymElement:
             key = tuple(sorted(matching_key(m) for m in key))
             if len(key) != degree:
                 raise ValueError(f"monomial of {len(key)} matchings in degree {degree}")
+            if any(2 * len(m) != n for m in key):
+                raise ValueError(f"layers must be perfect matchings of 1..{n}")
             coeff = Fraction(coeff)
             if coeff:
                 acc[key] = acc.get(key, Fraction(0)) + coeff
@@ -125,7 +128,7 @@ class SymElement:
         items = []
         for t in obj["terms"]:
             mono = tuple(tuple(json_edges(m)) for m in t["monomial"])
-            items.append((mono, Fraction(t["coeff"])))
+            items.append((mono, json_coeff(t["coeff"])))
         return cls.from_terms(json_int(obj["n"], "n"),
                               json_int(obj["degree"], "degree"), items)
 
@@ -331,7 +334,7 @@ def _cycle_peel_two_regular(n: int, key: GraphKey):
 def kempe_factor(n: int, edges):
     """Write a regular graph as a combination of products of d matchings.
 
-    The degree d is the graph's valence; an irregular graph raises.
+    The degree d is the graph's valence; an irregular graph or odd n raises.
 
     A matching maps to itself and a 2-regular union of even cycles peels
     directly by alternation; otherwise the +/- split is fixed (positives
@@ -340,6 +343,8 @@ def kempe_factor(n: int, edges):
     factored into matchings via Hall's theorem.  The image in the ring always
     straightens to the same expansion as X of the input.
     """
+    if n % 2:
+        raise ValueError(f"no perfect matchings of 1..{n}: n is odd")
     cf = canonicalize(edges)
     if cf.sign == 0:
         raise ValueError("graph has a loop")

@@ -9,9 +9,10 @@ tuples of these are the monomials of the degenerated ring, and the operations
 here (balancing, normal forms, type vectors, the toric cubic move) implement
 its relation calculus.
 
-Local coordinates at the base vertex v are the triple
-(left(v), stalk(v), right(v)) where left(2) and right(r-1) are the end
-stalks and the other flanks are base edges.
+The *spine* (s1, b2, ..., b_{r-2}, sr) lists the flanks of the base vertices
+left to right, the end stalks being the outer flanks.  Base vertex v sits
+between spine[v-2] and spine[v-1], so its local triple is (spine[v-2], s_v,
+spine[v-1]); the spine and the middle stalks s2..s_{r-1} make the weighting.
 """
 
 from __future__ import annotations
@@ -43,25 +44,23 @@ class CatWeighting:
         if any(w < 0 for w in self.stalks + self.bases):
             raise ValueError("weights must be non-negative")
 
-    # -- local views -------------------------------------------------------
+    # -- the spine view ------------------------------------------------------
 
-    def stalk(self, i: int) -> int:
-        assert 1 <= i <= self.r
-        return self.stalks[i - 1]
+    @property
+    def spine(self) -> tuple[int, ...]:
+        """The flanks (s1, b2, ..., b_{r-2}, sr); vertex v sits between v-2 and v-1."""
+        return (self.stalks[0],) + self.bases + (self.stalks[-1],)
 
-    def base(self, j: int) -> int:
-        assert 2 <= j <= self.r - 2
-        return self.bases[j - 2]
-
-    def left_of(self, v: int) -> int:
-        return self.stalk(1) if v == 2 else self.base(v - 1)
-
-    def right_of(self, v: int) -> int:
-        return self.stalk(self.r) if v == self.r - 1 else self.base(v)
+    @classmethod
+    def from_spine(cls, spine, middle) -> "CatWeighting":
+        """The weighting with this spine and middle stalks s2..s_{r-1}."""
+        spine, middle = tuple(spine), tuple(middle)
+        return cls(len(middle) + 2, spine[:1] + middle + spine[-1:], spine[1:-1])
 
     def local_triple(self, v: int) -> Triple:
         assert 2 <= v <= self.r - 1
-        return (self.left_of(v), self.stalk(v), self.right_of(v))
+        spine = self.spine
+        return (spine[v - 2], self.stalks[v - 1], spine[v - 1])
 
     # -- predicates ---------------------------------------------------------
 
@@ -83,12 +82,9 @@ class CatWeighting:
                             tuple(a + b for a, b in zip(self.bases, other.bases)))
 
     def __str__(self):
-        middle = []
-        for v in range(2, self.r):
-            middle.append(str(self.stalk(v)))
-            if v <= self.r - 2:
-                middle.append(str(self.base(v)))
-        return "(%d | %s | %d)" % (self.stalk(1), " ".join(middle), self.stalk(self.r))
+        """``(s1 | s2 b2 s3 ... b_{r-2} s_{r-1} | sr)``."""
+        pairs = "".join(f"{s} {b} " for s, b in zip(self.stalks[1:], self.bases))
+        return f"({self.stalks[0]} | {pairs}{self.stalks[-2]} | {self.stalks[-1]})"
 
 
 def sum_weighting(tup) -> CatWeighting:
@@ -126,16 +122,14 @@ def enumerate_reduced_matchings(r: int) -> tuple[CatWeighting, ...]:
     return tuple(sorted(out, key=lambda w: (w.stalks, w.bases)))
 
 
+def _columns_within_one(rows) -> bool:
+    """Every column of the equal-length rows spans at most one."""
+    return all(max(col) - min(col) <= 1 for col in zip(*rows))
+
+
 def is_balanced(tup) -> bool:
     """Pairwise base-edge values differ by at most one (vacuous when r = 3)."""
-    if not tup:
-        return True
-    r = tup[0].r
-    for j in range(2, r - 1):
-        values = [entry.base(j) for entry in tup]
-        if max(values) - min(values) > 1:
-            return False
-    return True
+    return _columns_within_one(entry.bases for entry in tup)
 
 
 # --- balancing ------------------------------------------------------------------
@@ -200,12 +194,9 @@ def _glue_balanced(r: int, per_vertex: dict[int, list[Triple]], n: int):
                     break
             else:
                 raise AssertionError("glue failed: no triple with matching flank")
-    out = []
-    for chain in slots:
-        stalks = [chain[0][0]] + [t[1] for t in chain] + [chain[-1][2]]
-        bases = [t[2] for t in chain[:-1]]
-        out.append(CatWeighting(r, tuple(stalks), tuple(bases)))
-    return out
+    return [CatWeighting.from_spine([chain[0][0]] + [t[2] for t in chain],
+                                    [t[1] for t in chain])
+            for chain in slots]
 
 
 def balance(tup):
@@ -213,14 +204,14 @@ def balance(tup):
 
     The entries are reduced caterpillar weightings with middle stalks <= 1.
     """
-    if is_balanced(tup) and _span_balanced(tup):
+    if _columns_within_one(entry.spine for entry in tup):
         return tuple(tup)
     tup = list(tup)
     assert tup, "empty tuple"
     r = tup[0].r
     for entry in tup:
         assert entry.r == r and entry.is_admissible()
-        assert all(entry.stalk(v) <= 1 for v in range(2, r)), \
+        assert all(s <= 1 for s in entry.stalks[1:-1]), \
             "middle stalks must be at most 1"
     per_vertex = {v: balance_triples([e.local_triple(v) for e in tup])
                   for v in range(2, r)}
@@ -230,15 +221,6 @@ def balance(tup):
     assert total_in == total_out, "balancing changed the sum"
     assert is_balanced(out)
     return tuple(out)
-
-
-def _span_balanced(tup) -> bool:
-    r = tup[0].r
-    for i in (1, r):
-        values = [entry.stalk(i) for entry in tup]
-        if max(values) - min(values) > 1:
-            return False
-    return True
 
 
 # --- breakability, types, the toric cubic move ----------------------------------
@@ -267,30 +249,10 @@ def type_vector(tup) -> tuple[str | None, ...]:
 def _splice(left_donor: CatWeighting, local: Triple,
             right_donor: CatWeighting, v: int) -> CatWeighting:
     """New weighting: left of v from one entry, the v-triple, rest from another."""
-    r = left_donor.r
-    stalks = []
-    bases = []
-    for i in range(1, r + 1):
-        if i < v:
-            stalks.append(left_donor.stalk(i))
-        elif i == v:
-            stalks.append(local[1])
-        else:
-            stalks.append(right_donor.stalk(i))
-    for j in range(2, r - 1):
-        if j < v - 1:
-            bases.append(left_donor.base(j))
-        elif j == v - 1:
-            bases.append(local[0])
-        elif j == v:
-            bases.append(local[2])
-        else:
-            bases.append(right_donor.base(j))
-    if v == 2:
-        stalks[0] = local[0]
-    if v == r - 1:
-        stalks[r - 1] = local[2]
-    out = CatWeighting(r, tuple(stalks), tuple(bases))
+    a, b, c = local
+    out = CatWeighting.from_spine(
+        left_donor.spine[:v - 2] + (a, c) + right_donor.spine[v:],
+        left_donor.stalks[1:v - 1] + (b,) + right_donor.stalks[v:-1])
     assert out.is_admissible(), "splice produced an inadmissible weighting"
     return out
 
@@ -332,13 +294,16 @@ def normal_form(tup):
     remaining stalk budget fills the free slots from the top.  This is the
     form the paper reaches by merging pairs into their min/max on every base
     edge; built from the sum alone, it is idempotent and invariant under
-    permutations, and tuples with equal sums map to equal outputs.
+    permutations, and tuples with equal sums map to equal outputs.  It needs
+    r >= 4: at r = 3 unbreakability is vacuous and the dealt form may not fit.
     """
     tup = tuple(tup)
     if not tup:
         raise ValueError("normal_form needs a non-empty tuple")
     n = len(tup)
     r = tup[0].r
+    if r < 4:
+        raise ValueError(f"normal_form needs r >= 4, got r = {r}")
     for entry in tup:
         if not entry.is_reduced_matching():
             raise ValueError("entries must be reduced matchings")
@@ -350,20 +315,14 @@ def normal_form(tup):
         k, rem = divmod(sum_value, n)
         return [k] * (n - rem) + [k + 1] * rem
 
-    stalk_cols = {i: deal(total.stalk(i)) for i in (1, r)}
-    base_cols = {j: deal(total.base(j)) for j in range(2, r - 1)}
-    for i, col in stalk_cols.items():
+    spine_cols = [deal(value) for value in total.spine]
+    for col in (spine_cols[0], spine_cols[-1]):
         assert max(col) <= 1, "end stalk sum exceeds the matching bound"
 
-    def flank_cols(v: int):
-        left = stalk_cols[1] if v == 2 else base_cols[v - 1]
-        right = stalk_cols[r] if v == r - 1 else base_cols[v]
-        return left, right
-
-    middle_cols: dict[int, list[int]] = {}
+    middle_cols = []
     for v in range(2, r):
-        left, right = flank_cols(v)
-        budget = total.stalk(v)
+        left, right = spine_cols[v - 2], spine_cols[v - 1]
+        budget = total.stalks[v - 1]
         values = [0] * n
         free = []
         for i in range(n):
@@ -376,14 +335,12 @@ def normal_form(tup):
         assert 0 <= budget <= len(free), "stalk budget does not fit"
         for i in free[len(free) - budget:]:
             values[i] = 1
-        middle_cols[v] = values
+        middle_cols.append(values)
 
     out = []
     for i in range(n):
-        stalks = [stalk_cols[1][i]] + [middle_cols[v][i] for v in range(2, r)] \
-            + [stalk_cols[r][i]]
-        bases = [base_cols[j][i] for j in range(2, r - 1)]
-        entry = CatWeighting(r, tuple(stalks), tuple(bases))
+        entry = CatWeighting.from_spine([col[i] for col in spine_cols],
+                                        [col[i] for col in middle_cols])
         assert entry.is_reduced_matching() and entry.is_unbreakable()
         out.append(entry)
     result = tuple(out)

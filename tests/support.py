@@ -94,9 +94,9 @@ def untruncate(c: CatWeighting, d: int) -> TreeWeighting:
     stalk_edges, base_edges = role_edges(tree, c.r)
     weights = [d] * len(tree.edges)  # every edge but a stalk or base is a leaf edge
     for i, idx in stalk_edges.items():
-        weights[idx] = 2 * c.stalk(i)
+        weights[idx] = 2 * c.stalks[i - 1]
     for j, idx in base_edges.items():
-        weights[idx] = 2 * c.base(j)
+        weights[idx] = 2 * c.bases[j - 2]
     out = TreeWeighting(tree, tuple(weights))
     if not out.is_admissible():
         raise ValueError(f"{c} does not untruncate at degree {d}")

@@ -51,8 +51,17 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def _element(*edges):
-    return json.dumps({"n": 4, "terms": [{"coeff": "1", "edges": list(edges)}]})
+def _element(*edges, coeff="1"):
+    return json.dumps({"n": 4, "terms": [{"coeff": coeff, "edges": list(edges)}]})
+
+
+def _simplest(n=8, coeffs=("1", "-1")):
+    """The simplest binomial's SymElement JSON, with n and the coefficients replaced."""
+    return json.dumps({"n": n, "degree": 2, "terms": [
+        {"coeff": coeffs[0], "monomial": [[[1, 2], [3, 4], [5, 6], [7, 8]],
+                                          [[1, 5], [2, 6], [3, 7], [4, 8]]]},
+        {"coeff": coeffs[1], "monomial": [[[1, 2], [3, 7], [4, 8], [5, 6]],
+                                          [[1, 5], [2, 6], [3, 4], [7, 8]]]}]})
 
 
 # User inputs that once passed silently, failed with an assert (no message,
@@ -112,7 +121,39 @@ BAD_USER_INPUTS = [
     ("hilbert", "2", "1000000000"),
     ("toric", "count", "--r", "4", "--degree", "-1"),
     ("toric", "round-trip", "--r", "3", "--degree", "-1"),
+    # normal forms need r >= 4: at r = 3 the dealt form can miss the sum
+    ("normal-form", '{"r":3,"entries":[{"stalks":[1,1,0]},{"stalks":[0,1,1]}]}'),
+    # element layers must be perfect matchings of 1..n
+    ("orbit-span", "--element", _simplest(n=4)),
+    ("orbit-span", "--element", _simplest(n=6)),
+    ("orbit-span", "--element", _simplest(n=10)),
+    # exact coefficients only: fraction strings or JSON integers
+    ("straighten", _element([1, 3], [2, 4], coeff=0.1)),
+    ("straighten", _element([1, 3], [2, 4], coeff=True)),
+    ("orbit-span", "--element", _simplest(coeffs=(0.1, -0.1))),
+    ("orbit-span", "--element", _simplest(coeffs=(True, -1))),
 ]
+
+# Runs each argv of BAD_USER_INPUTS (a JSON list on stdin) through main and
+# prints [exit code, stderr] per input; SystemExit gives its code, and an
+# escaped exception its traceback with code null.
+_RUN_ALL_MAIN = """
+import contextlib, io, json, sys, traceback
+from plucker.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            traceback.print_exc()
+            code = None
+    results.append([code, err.getvalue()])
+json.dump(results, sys.stdout)
+"""
 
 
 def test_straighten_command(capsys):
@@ -172,15 +213,20 @@ def test_bad_inputs_exit_with_parse_code(capsys):
 
 
 def test_bad_inputs_exit_with_parse_code_without_asserts():
-    # python -O strips assert statements, so none may guard user input
+    # python -O strips assert statements, so none may guard user input;
+    # one -O child runs every input
     src = os.path.dirname(os.path.dirname(os.path.abspath(plucker.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    for argv in BAD_USER_INPUTS:
-        proc = subprocess.run([sys.executable, "-O", "-m", "plucker.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=60)
-        assert proc.returncode == EXIT_PARSE, (argv, proc.stderr)
-        assert "Traceback" not in proc.stderr, (argv, proc.stderr)
-        assert proc.stderr.startswith("error: ") and proc.stderr.strip() != "error:"
+    proc = subprocess.run([sys.executable, "-O", "-c", _RUN_ALL_MAIN],
+                          input=json.dumps(BAD_USER_INPUTS), capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert len(results) == len(BAD_USER_INPUTS)
+    for argv, (code, err) in zip(BAD_USER_INPUTS, results):
+        assert code == EXIT_PARSE, (argv, err)
+        assert "Traceback" not in err, (argv, err)
+        assert err.startswith("error: ") and err.strip() != "error:"
 
 
 def test_toric_commands(capsys):

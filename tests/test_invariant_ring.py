@@ -282,6 +282,11 @@ def test_kempe_factor_rejects_bad_input():
         kempe_factor(4, [(1, 2)])
     with pytest.raises(ValueError):
         kempe_factor(2, [(1, 1)])
+    # no perfect matchings on an odd number of labels
+    with pytest.raises(ValueError):
+        kempe_factor(3, [(1, 2), (2, 3), (1, 3)])
+    with pytest.raises(ValueError):
+        kempe_factor(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
 
 
 def test_json_round_trip():
@@ -290,6 +295,12 @@ def test_json_round_trip():
             (((1, 4), (2, 3), (5, 6)), Fraction(-1))])
     assert RingElement.from_json(e.to_json()) == e
     assert '"3/2"' in e.to_json()
+    # exact coefficients only: fraction strings or JSON integers
+    term = '{"n":4,"terms":[{"coeff":%s,"edges":[[1,2],[3,4]]}]}'
+    assert RingElement.from_json(term % "-2") == RingElement.from_json(term % '"-2"')
+    for coeff in ("0.1", "true", "null", "[1]"):
+        with pytest.raises(ValueError):
+            RingElement.from_json(term % coeff)
 
 
 def test_fuel_exhaustion_signals_internal_error(monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -392,6 +393,14 @@ def test_evaluate_sym_matches_projection():
 def test_sym_element_json_round_trip():
     s = segre_cubic().scale(Fraction(3, 2))
     assert SymElement.from_json(s.to_json()) == s
+    # exact coefficients only, and layers must be perfect matchings of 1..n
+    obj = json.loads(s.to_json())
+    for coeff in (0.1, True):
+        obj["terms"][0]["coeff"] = coeff
+        with pytest.raises(ValueError):
+            SymElement.from_json(json.dumps(obj))
+    with pytest.raises(ValueError):
+        SymElement.from_terms(4, 1, [(([(1, 2), (3, 4), (5, 6)],), 1)])
 
 
 def test_to_coords_agrees_with_projection():

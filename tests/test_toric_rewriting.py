@@ -76,8 +76,8 @@ def test_balance_already_balanced_unchanged():
     for _ in range(50):
         tup = tuple(rng.sample(pool, 2))
         if is_balanced(tup) and \
-                max(e.stalk(1) for e in tup) - min(e.stalk(1) for e in tup) <= 1 \
-                and max(e.stalk(4) for e in tup) - min(e.stalk(4) for e in tup) <= 1:
+                max(e.stalks[0] for e in tup) - min(e.stalks[0] for e in tup) <= 1 \
+                and max(e.stalks[3] for e in tup) - min(e.stalks[3] for e in tup) <= 1:
             assert balance(tup) == tup
 
 
