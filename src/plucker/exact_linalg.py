@@ -1,10 +1,15 @@
 """Exact rational sparse linear algebra: rank, kernel, span membership.
 
 Everything is over Q with arbitrary-precision arithmetic; no floats anywhere.
-A vector is a dict ``{col: value}`` that never stores a zero: ``matvec``,
-``kernel_basis``, ``rref`` and ``IncrementalSpan`` all take or return this
-one format, and no dense list is built.  All elimination goes through one
-row-major, fraction-free kernel, the pivot rows of an ``IncrementalSpan``:
+The number rule: an integral value is a Python ``int``, and a ``Fraction``
+appears only where a denominator does (``exact``).  ``QMatrix`` stores its
+entries by that rule, so an integer matrix is eliminated without building a
+single ``Fraction``; ``rref``, ``kernel_basis`` and ``matvec`` still return
+``Fraction`` values.  A vector is a dict ``{col: value}`` that never stores a
+zero: ``matvec``, ``kernel_basis``, ``rref`` and ``IncrementalSpan`` all take
+or return this one format, and no dense list is built.  All elimination goes
+through one row-major, fraction-free kernel, the pivot rows of an
+``IncrementalSpan``:
 
 - Rows are primitive integer rows: denominators cleared, content divided out.
 - Pivot rows are kept in insertion order, keyed by pivot column, and each one
@@ -37,11 +42,20 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 
+def exact(value) -> int | Fraction:
+    """``value`` as an ``int`` when it is integral, else as a ``Fraction``."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 class QMatrix:
     """Immutable sparse matrix over Q.
 
     Build with ``QMatrix(rows, cols)`` + ``set`` calls, then ``freeze()``.
-    Zero entries are never stored.
+    Zero entries are never stored; an integral entry is stored as an ``int``
+    and any other as a ``Fraction`` (``exact``).
     """
 
     def __init__(self, rows: int, cols: int):
@@ -49,7 +63,7 @@ class QMatrix:
             raise ValueError(f"negative matrix shape {rows}x{cols}")
         self.rows = rows
         self.cols = cols
-        self.entries: dict[tuple[int, int], Fraction] = {}
+        self.entries: dict[tuple[int, int], int | Fraction] = {}
         self._frozen = False
 
     def set(self, r: int, c: int, value) -> None:
@@ -57,7 +71,7 @@ class QMatrix:
             raise ValueError("matrix is frozen")
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise ValueError(f"entry ({r}, {c}) outside a {self.rows}x{self.cols} matrix")
-        value = Fraction(value)
+        value = exact(value)
         if value:
             self.entries[(r, c)] = value
         else:
@@ -67,8 +81,8 @@ class QMatrix:
         self._frozen = True
         return self
 
-    def row_dicts(self) -> list[dict[int, Fraction]]:
-        out: list[dict[int, Fraction]] = [dict() for _ in range(self.rows)]
+    def row_dicts(self) -> list[dict[int, int | Fraction]]:
+        out: list[dict[int, int | Fraction]] = [dict() for _ in range(self.rows)]
         for (r, c), v in self.entries.items():
             out[r][c] = v
         return out
@@ -77,11 +91,16 @@ class QMatrix:
         return f"QMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
 
 
-def _int_row(vector: dict[int, Fraction]) -> dict[int, int]:
-    """Primitive integer row of a rational vector ``{col: value}``."""
-    row = {c: Fraction(v) for c, v in vector.items() if v}
-    denom = lcm(*(v.denominator for v in row.values()))
-    row = {c: v.numerator * (denom // v.denominator) for c, v in row.items()}
+def _int_row(vector: dict[int, int | Fraction]) -> dict[int, int]:
+    """Primitive integer row of a rational vector ``{col: value}``.
+
+    A row of ints skips the ``Fraction``/``lcm`` round trip.
+    """
+    row = {c: v for c, v in vector.items() if v}
+    if any(type(v) is not int for v in row.values()):
+        row = {c: Fraction(v) for c, v in row.items()}
+        denom = lcm(*(v.denominator for v in row.values()))
+        row = {c: v.numerator * (denom // v.denominator) for c, v in row.items()}
     _remove_content(row)
     return row
 
@@ -98,7 +117,7 @@ def matvec(m: QMatrix, v: dict[int, Fraction]) -> dict[int, Fraction]:
     out: dict[int, Fraction] = {}
     for (r, c), val in m.entries.items():
         if c in v:
-            out[r] = out.get(r, 0) + val * v[c]
+            out[r] = out.get(r, Fraction(0)) + val * v[c]
     return {r: x for r, x in out.items() if x}
 
 

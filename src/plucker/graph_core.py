@@ -77,6 +77,9 @@ def perm_sign(word) -> int:
     return sign
 
 
+_ORIENTATION_SIGNS: dict[GraphKey, int] = {}
+
+
 def orientation_sign(edges) -> int:
     """The fixed orientation eps on directed perfect matchings.
 
@@ -85,17 +88,21 @@ def orientation_sign(edges) -> int:
     word by blocks of two, an even permutation, so the edge order does not
     actually matter; sorting just pins the definition down.  Raises
     ``ValueError`` when the edges are not a perfect matching on 1..n.
+
+    Memoized by the edges as a tuple of tuples: the edges as given are
+    looked up first and normalised only on a miss.  Errors are not cached,
+    so a bad matching raises on every call.
     """
-    return _orientation_sign(tuple(tuple(e) for e in edges))
-
-
-@lru_cache(maxsize=1 << 16)
-def _orientation_sign(edges: GraphKey) -> int:
-    # errors are not cached, so a bad matching raises on every call
-    word = [v for e in sorted(edges, key=min) for v in e]
+    try:
+        return _ORIENTATION_SIGNS[edges]
+    except (TypeError, KeyError):  # unhashable, or not seen in this form
+        pass
+    key = tuple(tuple(e) for e in edges)
+    word = [v for e in sorted(key, key=min) for v in e]
     if sorted(word) != list(range(1, len(word) + 1)):
-        raise ValueError(f"not a perfect matching: {edges}")
-    return perm_sign(word)
+        raise ValueError(f"not a perfect matching: {key}")
+    sign = _ORIENTATION_SIGNS[key] = perm_sign(word)
+    return sign
 
 
 def matching_key(pairs) -> GraphKey:

@@ -24,7 +24,9 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 
+from .exact_linalg import exact
 from .graph_core import (
     GraphKey,
     canonicalize,
@@ -173,7 +175,8 @@ class RingElement:
         return not self.terms
 
     def __add__(self, other: "RingElement") -> "RingElement":
-        assert self.n == other.n, "label-set mismatch"
+        if self.n != other.n:
+            raise ValueError(f"label-set mismatch: n={self.n} and n={other.n}")
         return RingElement.from_terms(
             self.n, list(self.terms.items()) + list(other.terms.items()))
 
@@ -236,34 +239,48 @@ def straighten(e: RingElement) -> RingElement:
 
 @dataclass(frozen=True)
 class PointConfig:
-    """n points on the projective line, exact projective coordinates (x, y)."""
+    """n points on the projective line, exact projective coordinates (x, y).
 
-    points: tuple[tuple[Fraction, Fraction], ...]
+    An integral coordinate is stored as an ``int``, any other as a
+    ``Fraction``; ``ValueError`` on the point (0, 0).
+    """
+
+    points: tuple[tuple[int | Fraction, int | Fraction], ...]
 
     def __post_init__(self):
-        for x, y in self.points:
-            assert x != 0 or y != 0, "(0,0) is not a projective point"
+        points = tuple((exact(x), exact(y)) for x, y in self.points)
+        if (0, 0) in points:
+            raise ValueError("(0,0) is not a projective point")
+        object.__setattr__(self, "points", points)
 
     @classmethod
     def from_integers(cls, xs) -> "PointConfig":
-        return cls(tuple((Fraction(x), Fraction(1)) for x in xs))
+        return cls(tuple((x, 1) for x in xs))
 
 
 def evaluate(e: RingElement, p: PointConfig) -> Fraction:
-    """Evaluate at a configuration: product of 2x2 determinants per edge."""
+    """Evaluate at a configuration: product of 2x2 determinants per edge.
+
+    The coefficients are summed over their common denominator D, so at
+    integer points every product and the sum are ints and the result is the
+    one ``Fraction(total, D)``; fractional coordinates take the same loop in
+    ``Fraction`` arithmetic.  Always returns a ``Fraction``.
+    """
     if len(p.points) != e.n:
         raise ValueError("configuration size mismatch")
-    total = Fraction(0)
+    points = p.points
+    denom = lcm(*(c.denominator for c in e.terms.values()))
+    total = 0
     for key, coeff in e.terms.items():
-        prod = Fraction(1)
+        prod = coeff.numerator * (denom // coeff.denominator)
         for a, b in key:
-            xa, ya = p.points[a - 1]
-            xb, yb = p.points[b - 1]
+            xa, ya = points[a - 1]
+            xb, yb = points[b - 1]
             prod *= xa * yb - xb * ya
             if not prod:
                 break
-        total += coeff * prod
-    return total
+        total += prod
+    return Fraction(total, denom)
 
 
 # degree_trace refuses more coefficient updates than this: at the limit one

@@ -134,14 +134,24 @@ BAD_USER_INPUTS = [
     ("orbit-span", "--element", _simplest(coeffs=(True, -1))),
 ]
 
-# Runs each argv of BAD_USER_INPUTS (a JSON list on stdin) through main and
-# prints [exit code, stderr] per input; SystemExit gives its code, and an
-# escaped exception its traceback with code null.
+# Bad values that no command can build, passed to the library directly; each
+# must raise ValueError, with asserts stripped too.
+BAD_DIRECT_CALLS = [
+    "PointConfig(((0, 0), (1, 1)))",
+    "RingElement.zero(4) + RingElement.zero(6)",
+]
+
+# Runs each argv of BAD_USER_INPUTS (the "argv" list of the JSON on stdin)
+# through main and prints [exit code, stderr] per input; SystemExit gives its
+# code, and an escaped exception its traceback with code null.  Then evaluates
+# each of its "calls" and prints the name of the exception raised, or null.
 _RUN_ALL_MAIN = """
 import contextlib, io, json, sys, traceback
 from plucker.cli import main
+from plucker.invariant_ring import PointConfig, RingElement
+payload = json.load(sys.stdin)
 results = []
-for argv in json.load(sys.stdin):
+for argv in payload["argv"]:
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         try:
@@ -152,7 +162,14 @@ for argv in json.load(sys.stdin):
             traceback.print_exc()
             code = None
     results.append([code, err.getvalue()])
-json.dump(results, sys.stdout)
+raised = []
+for call in payload["calls"]:
+    try:
+        eval(call)
+        raised.append(None)
+    except Exception as exc:
+        raised.append(type(exc).__name__)
+json.dump({"argv": results, "calls": raised}, sys.stdout)
 """
 
 
@@ -214,14 +231,17 @@ def test_bad_inputs_exit_with_parse_code(capsys):
 
 def test_bad_inputs_exit_with_parse_code_without_asserts():
     # python -O strips assert statements, so none may guard user input;
-    # one -O child runs every input
+    # one -O child runs every input and every direct call
     src = os.path.dirname(os.path.dirname(os.path.abspath(plucker.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
+    payload = {"argv": BAD_USER_INPUTS, "calls": BAD_DIRECT_CALLS}
     proc = subprocess.run([sys.executable, "-O", "-c", _RUN_ALL_MAIN],
-                          input=json.dumps(BAD_USER_INPUTS), capture_output=True,
+                          input=json.dumps(payload), capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    results = json.loads(proc.stdout)
+    out = json.loads(proc.stdout)
+    assert out["calls"] == ["ValueError"] * len(BAD_DIRECT_CALLS)
+    results = out["argv"]
     assert len(results) == len(BAD_USER_INPUTS)
     for argv, (code, err) in zip(BAD_USER_INPUTS, results):
         assert code == EXIT_PARSE, (argv, err)

@@ -241,3 +241,51 @@ def test_incremental_span_agrees_with_oracle(case, data):
         assert row[col] and all(v and isinstance(v, int) for v in row.values())
         assert gcd(*row.values()) == 1
         assert not any(c in row for c in list(pivots)[:k])
+
+
+# --- the number rule: int and Fraction inputs give the same results ----------
+
+def test_set_stores_an_int_when_integral():
+    m = QMatrix(1, 3)
+    m.set(0, 0, Fraction(6, 3))
+    m.set(0, 1, Fraction(1, 2))
+    m.set(0, 2, Fraction(0, 5))
+    assert m.entries == {(0, 0): 2, (0, 1): Fraction(1, 2)}
+    assert type(m.entries[(0, 0)]) is int
+    assert type(m.entries[(0, 1)]) is Fraction
+
+
+@st.composite
+def int_matrices(draw):
+    """(cols, rows): small integer rows, with zero and repeated rows."""
+    cols = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), st.integers(-6, 6))
+    base = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=1, max_size=5))
+    rows = draw(st.lists(st.sampled_from(base + [[0] * cols]), max_size=7))
+    return cols, rows
+
+
+@properties
+@given(int_matrices())
+def test_int_and_fraction_routes_agree(case):
+    cols, rows = case
+    routes = [rows,
+              [[Fraction(v) for v in row] for row in rows],
+              [[Fraction(v, 3) for v in row] for row in rows]]
+    ints, fractions, thirds = (from_rows(r, cols) for r in routes)
+    assert all(type(v) is int for v in ints.entries.values())
+    assert all(type(v) is int for v in fractions.entries.values())
+    assert rank(ints) == rank(fractions) == rank(thirds)
+    assert rref(ints) == rref(fractions) == rref(thirds)
+    for frows, _ in (rref(ints), rref(thirds)):
+        assert all(type(v) is Fraction for row in frows for v in row.values())
+    # scaling every entry by 1/3 scales no kernel vector
+    assert kernel_basis(ints) == kernel_basis(fractions) == kernel_basis(thirds)
+    for vec in kernel_basis(ints):
+        assert all(type(v) is Fraction for v in vec.values())
+    spans = [IncrementalSpan(cols) for _ in routes]
+    for span, route in zip(spans, routes):
+        for row in route:
+            span.add({c: v for c, v in enumerate(row) if v})
+    assert spans[0].pivots == spans[1].pivots == spans[2].pivots

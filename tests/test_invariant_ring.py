@@ -109,8 +109,37 @@ def test_evaluate_examples():
     p = PointConfig(((Fraction(0), Fraction(1)), (Fraction(1), Fraction(1))))
     assert evaluate(e, p) == -1
     assert evaluate(RingElement.zero(2), p) == 0
+    # int coefficients at integer points still give a Fraction
+    for value in (evaluate(RingElement(2, {((1, 2),): 3}), p),
+                  evaluate(RingElement.zero(2), p)):
+        assert type(value) is Fraction
     with pytest.raises(ValueError):
         evaluate(e, PointConfig(((Fraction(1), Fraction(1)),)))
+    with pytest.raises(ValueError, match="projective point"):
+        PointConfig(((Fraction(0), Fraction(0)), (1, 1)))
+    with pytest.raises(ValueError, match="label-set mismatch"):
+        x_of(2, [(1, 2)]) + x_of(4, [(1, 2)])
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.data())
+def test_evaluate_scales_projectively(data):
+    # a d-regular element with fractional coefficients: moving every point
+    # (x, 1) to (x/2, 1/2) multiplies each of the nd/2 edge factors by 1/4
+    n = data.draw(st.sampled_from((2, 4, 6, 8)))
+    d = data.draw(st.integers(1, 3))
+    layers = st.lists(st.sampled_from(enumerate_matchings(n)), min_size=d, max_size=d)
+    terms = data.draw(st.lists(
+        st.tuples(layers, st.fractions(-5, 5, max_denominator=6)), min_size=1, max_size=4))
+    e = RingElement.from_terms(
+        n, [(tuple(sorted(edge for m in ms for edge in m)), c) for ms, c in terms])
+    xs = data.draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n, unique=True))
+    ints = PointConfig.from_integers(xs)
+    assert all(type(v) is int for point in ints.points for v in point)
+    halves = PointConfig(tuple((Fraction(x, 2), Fraction(1, 2)) for x in xs))
+    at_ints, at_halves = evaluate(e, ints), evaluate(e, halves)
+    assert type(at_ints) is Fraction and type(at_halves) is Fraction
+    assert at_ints * Fraction(1, 4) ** (n * d // 2) == at_halves
 
 
 def test_evaluation_oracle_for_straightening():
