@@ -55,7 +55,9 @@ class QMatrix:
 
     Build with ``QMatrix(rows, cols)`` + ``set`` calls, then ``freeze()``.
     Zero entries are never stored; an integral entry is stored as an ``int``
-    and any other as a ``Fraction`` (``exact``).
+    and any other as a ``Fraction`` (``exact``).  ``matvec`` builds a column
+    index on its first call on a frozen matrix and keeps it; a matrix that is
+    never multiplied never pays for one.
     """
 
     def __init__(self, rows: int, cols: int):
@@ -65,6 +67,7 @@ class QMatrix:
         self.cols = cols
         self.entries: dict[tuple[int, int], int | Fraction] = {}
         self._frozen = False
+        self._by_col: dict[int, list[tuple[int, int | Fraction]]] | None = None
 
     def set(self, r: int, c: int, value) -> None:
         if self._frozen:
@@ -80,6 +83,21 @@ class QMatrix:
     def freeze(self) -> "QMatrix":
         self._frozen = True
         return self
+
+    def _columns(self) -> dict[int, list[tuple[int, int | Fraction]]]:
+        """The entries as ``{col: [(row, value)]}``.
+
+        Built on the first call once frozen and kept; a matrix that is still
+        being built gets a fresh index every call.
+        """
+        if self._by_col is not None:
+            return self._by_col
+        index: dict[int, list[tuple[int, int | Fraction]]] = {}
+        for (r, c), v in self.entries.items():
+            index.setdefault(c, []).append((r, v))
+        if self._frozen:
+            self._by_col = index
+        return index
 
     def row_dicts(self) -> list[dict[int, int | Fraction]]:
         out: list[dict[int, int | Fraction]] = [dict() for _ in range(self.rows)]
@@ -112,13 +130,17 @@ def _remove_content(row: dict[int, int]) -> None:
             row[c] //= g
 
 
-def matvec(m: QMatrix, v: dict[int, Fraction]) -> dict[int, Fraction]:
-    """m.v for a vector ``{col: value}``, as ``{row: value}`` without zeros."""
-    out: dict[int, Fraction] = {}
-    for (r, c), val in m.entries.items():
-        if c in v:
-            out[r] = out.get(r, Fraction(0)) + val * v[c]
-    return {r: x for r, x in out.items() if x}
+def matvec(m: QMatrix, v: dict[int, int | Fraction]) -> dict[int, Fraction]:
+    """m.v for a vector ``{col: value}``, as ``{row: Fraction}`` without zeros.
+
+    Visits only the columns in the vector's support, through ``QMatrix._columns``.
+    """
+    columns = m._columns()
+    out: dict[int, int | Fraction] = {}
+    for c, x in v.items():
+        for r, val in columns.get(c, ()):
+            out[r] = out.get(r, 0) + val * x
+    return {r: Fraction(x) for r, x in out.items() if x}
 
 
 class IncrementalSpan:

@@ -167,12 +167,13 @@ def evaluate_sym(e: SymElement, config) -> Fraction:
     return evaluate(_product_graphs(e), config)
 
 
-def to_coords(e: SymElement) -> dict[Monomial, Fraction]:
+def to_coords(e: SymElement) -> dict[Monomial, int | Fraction]:
     """Coordinates in the Sym^k basis of multisets of non-crossing matchings.
 
     The expansions have integer coefficients, so each term's products are
     summed as integers over the common denominator of the input's
-    coefficients, and each output entry becomes one ``Fraction``.
+    coefficients.  By the number rule of ``exact_linalg``, the entries are
+    ``int`` when that denominator is 1 and ``Fraction`` otherwise.
     """
     denom = lcm(*(c.denominator for c in e.terms.values()))
     acc: dict[Monomial, int] = {}
@@ -185,6 +186,8 @@ def to_coords(e: SymElement) -> dict[Monomial, Fraction]:
             for _, a in combo:
                 c *= a
             acc[key] = acc.get(key, 0) + c
+    if denom == 1:
+        return {k: v for k, v in acc.items() if v}
     return {k: Fraction(v, denom) for k, v in acc.items() if v}
 
 
@@ -194,7 +197,7 @@ def sym_basis(n: int, k: int) -> tuple[Monomial, ...]:
     return tuple(itertools.combinations_with_replacement(noncrossing_matchings(n), k))
 
 
-def coords_vector(e: SymElement) -> dict[int, Fraction]:
+def coords_vector(e: SymElement) -> dict[int, int | Fraction]:
     """``to_coords`` keyed by column of ``sym_basis(e.n, e.degree)``."""
     index = _basis_index(e.n, e.degree)
     return {index[key]: c for key, c in to_coords(e).items()}

@@ -1,8 +1,17 @@
 """Symmetric group actions, orbit spans, characters, the partition filtration.
 
 The symmetric group acts on graphs by relabeling; on the Y generators the
-action is twisted by the sign character.  ``orbit_span_check`` grows the
-span of one relation's orbit until it fills its piece of the ideal.
+action is twisted by the sign character.  ``orbit_span_check`` asks
+whether one relation's orbit spans its piece I^(k) of the ideal.  In degree
+2, where the character of I^(2) is one irreducible with multiplicity 1 and
+its hook-length dimension is dim I^(2) (n = 8 and 10), any nonzero relation
+generates I^(2), so a character computation answers with no permutation
+tried.  Elsewhere (degree 3 and up, such as the Segre cubic at n = 6) the
+orbit is scanned, growing an exact span until it reaches dim I^(k).  For
+n <= 6, I^(2) = 0 and every relation is zero in coordinates.  I^(2)_12 has
+two irreducible parts, so the certificate would not apply there; the
+feasibility guard of ``ideal_component_dim`` refuses n = 12 before either
+route.
 
 Characters of the induced actions on V, Sym^2(V), Lambda^2(V), R^(2) and
 I^(2) come from one trace formula, ``invariant_ring.degree_trace`` (the
@@ -73,21 +82,53 @@ def act_sym(perm: Perm, e: SymElement) -> SymElement:
 def orbit_span_check(rel: SymElement):
     """Rank of the S_n-orbit span of a relation; does it fill I^(k)?
 
-    Requires the input to project to zero (so the orbit stays inside the
-    ideal and the rank scan may stop early at the ideal dimension).
+    Raises ``ValueError`` unless the input projects to zero, so that the
+    orbit stays inside I^(k).  An element whose coordinates in Sym^k(V) are
+    zero has a zero orbit, whatever its formal terms: (0, dim I^(k) == 0).
+
+    The certificate: in degree 2, when ``quadratic_ideal_irrep(n)`` names
+    the partition of an irreducible I^(2), the span of a nonzero orbit is a
+    nonzero submodule of I^(2), so it is all of it, and the answer is
+    (dim I^(2), True) with no permutation tried.  This covers n = 8 and 10.
+    Every other case (degree 3 and up, or a reducible I^(2)) scans S_n in
+    ``all_perms`` order, growing one ``IncrementalSpan`` until it reaches
+    the ideal dimension.
     """
     n, k = rel.n, rel.degree
     target = ideal_component_dim(n, k)
-    if rel.is_zero():
-        return 0, target == 0
     if not project_to_ring(rel).is_zero():
         raise ValueError("element is not a relation")
+    vector = coords_vector(rel)
+    if not vector:
+        return 0, target == 0
+    if k == 2 and quadratic_ideal_irrep(n) is not None:
+        return target, True
     span = exact_linalg.IncrementalSpan(len(sym_basis(n, k)))
     for sigma in all_perms(n):
         span.add(coords_vector(act_sym(sigma, rel)))
         if span.dim == target:
             return target, True
     return span.dim, span.dim == target
+
+
+@lru_cache(maxsize=None)
+def quadratic_ideal_irrep(n: int) -> PartitionT | None:
+    """The partition lambda with I^(2)_n = V_lambda, or None if it is not irreducible.
+
+    Irreducible means the character of I^(2) decomposes as one partition
+    with multiplicity 1.  Its hook-length dimension must also equal dim
+    I^(2) from the exact rank: that ties the character, built as Sym^2 V -
+    R^(2) by the trace formula, to the kernel the orbit lives in (it holds
+    only when Sym^2 V -> R^(2) is onto).  The sign twist of ``act_sym``
+    cancels in degree 2, and twisting would not change irreducibility.
+    """
+    parts = decompose(character_of_action(n, "I2"))
+    if len(parts) != 1:
+        return None
+    (lam, mult), = parts.items()
+    if mult != 1 or hook_length_dim(lam) != ideal_component_dim(n, 2):
+        return None
+    return lam
 
 
 # --- partitions, characters, hook lengths ---------------------------------------

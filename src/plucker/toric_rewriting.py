@@ -41,7 +41,7 @@ class CatWeighting:
             raise ValueError(f"need {self.r} stalk values, got {len(self.stalks)}")
         if len(self.bases) != self.r - 3:
             raise ValueError(f"need {self.r - 3} base values, got {len(self.bases)}")
-        if any(w < 0 for w in self.stalks + self.bases):
+        if min(self.stalks + self.bases) < 0:
             raise ValueError("weights must be non-negative")
 
     # -- the spine view ------------------------------------------------------
@@ -65,8 +65,9 @@ class CatWeighting:
     # -- predicates ---------------------------------------------------------
 
     def is_admissible(self) -> bool:
-        return all(admissible_triple(*self.local_triple(v), reduced=True)
-                   for v in range(2, self.r))
+        spine = self.spine
+        return all(admissible_triple(a, s, c, reduced=True)
+                   for a, s, c in zip(spine, self.stalks[1:-1], spine[1:]))
 
     def is_reduced_matching(self) -> bool:
         return self.is_admissible() and all(s <= 1 for s in self.stalks)
@@ -76,10 +77,7 @@ class CatWeighting:
         return all(b > 0 for b in self.bases)
 
     def __add__(self, other: "CatWeighting") -> "CatWeighting":
-        assert self.r == other.r
-        return CatWeighting(self.r,
-                            tuple(a + b for a, b in zip(self.stalks, other.stalks)),
-                            tuple(a + b for a, b in zip(self.bases, other.bases)))
+        return sum_weighting((self, other))
 
     def __str__(self):
         """``(s1 | s2 b2 s3 ... b_{r-2} s_{r-1} | sr)``."""
@@ -88,10 +86,20 @@ class CatWeighting:
 
 
 def sum_weighting(tup) -> CatWeighting:
-    total = tup[0]
-    for entry in tup[1:]:
-        total = total + entry
-    return total
+    """The entrywise sum of a non-empty tuple of weightings on one caterpillar.
+
+    One weighting is its own sum; more are built once from the column sums.
+    ``ValueError`` on an empty tuple or on weightings of different r.
+    """
+    if not tup:
+        raise ValueError("sum_weighting needs a non-empty tuple")
+    if len(tup) == 1:
+        return tup[0]
+    r = tup[0].r
+    if any(entry.r != r for entry in tup):
+        raise ValueError("cannot add weightings on caterpillars of different r")
+    return CatWeighting(r, tuple(map(sum, zip(*[entry.stalks for entry in tup]))),
+                        tuple(map(sum, zip(*[entry.bases for entry in tup]))))
 
 
 @lru_cache(maxsize=None)

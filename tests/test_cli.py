@@ -139,6 +139,8 @@ BAD_USER_INPUTS = [
 BAD_DIRECT_CALLS = [
     "PointConfig(((0, 0), (1, 1)))",
     "RingElement.zero(4) + RingElement.zero(6)",
+    "CatWeighting(3, (1, 1, 0), ()) + CatWeighting(4, (1, 1, 1, 1), (1,))",
+    "sum_weighting((CatWeighting(3, (1, 1, 0), ()), CatWeighting(4, (1, 1, 1, 1), (1,))))",
 ]
 
 # Runs each argv of BAD_USER_INPUTS (the "argv" list of the JSON on stdin)
@@ -149,6 +151,7 @@ _RUN_ALL_MAIN = """
 import contextlib, io, json, sys, traceback
 from plucker.cli import main
 from plucker.invariant_ring import PointConfig, RingElement
+from plucker.toric_rewriting import CatWeighting, sum_weighting
 payload = json.load(sys.stdin)
 results = []
 for argv in payload["argv"]:
@@ -322,6 +325,19 @@ def test_orbit_span_command(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["rank"] == 14 and payload["spans_ideal"]
+
+
+def test_orbit_span_command_at_10(capsys):
+    # the doubled simplest binomial: the certificate answers with no S_10 scan
+    element = json.dumps({"n": 10, "degree": 2, "terms": [
+        {"coeff": "1", "monomial": [[[1, 2], [3, 4], [5, 6], [7, 8], [9, 10]],
+                                    [[1, 5], [2, 6], [3, 7], [4, 8], [9, 10]]]},
+        {"coeff": "-1", "monomial": [[[1, 2], [3, 7], [4, 8], [5, 6], [9, 10]],
+                                     [[1, 5], [2, 6], [3, 4], [7, 8], [9, 10]]]}]})
+    code, out, _ = run(capsys, "orbit-span", "--element", element, "--json")
+    assert code == 0
+    assert json.loads(out) == {"command": "orbit-span", "n": 10, "degree": 2,
+                               "rank": 300, "spans_ideal": True}
 
 
 def test_decompose_command(capsys):

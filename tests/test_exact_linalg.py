@@ -243,6 +243,35 @@ def test_incremental_span_agrees_with_oracle(case, data):
         assert not any(c in row for c in list(pivots)[:k])
 
 
+# --- matvec through the column index -------------------------------------------
+
+@properties
+@given(matrices(), st.data())
+def test_matvec_agrees_with_the_dense_product(case, data):
+    cols, rows = case
+    m = from_rows(rows, cols)
+    entry = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+    probe = data.draw(st.lists(entry, min_size=cols, max_size=cols))
+    v = {c: x for c, x in enumerate(probe) if x}
+    dense_product = {i: sum((Fraction(a) * x for a, x in zip(row, probe)), Fraction(0))
+                     for i, row in enumerate(rows)}
+    want = {i: x for i, x in dense_product.items() if x}
+    first = matvec(m, v)
+    assert first == want
+    assert all(type(x) is Fraction for x in first.values())
+    assert matvec(m, v) == first  # the index built by the first call
+
+
+def test_matvec_on_a_matrix_being_built():
+    m = QMatrix(2, 2)
+    m.set(0, 0, 1)
+    assert matvec(m, {0: 1, 1: 1}) == {0: 1}
+    m.set(1, 1, 3)
+    assert matvec(m, {0: 1, 1: 1}) == {0: 1, 1: 3}
+    m.freeze()
+    assert matvec(m, {1: Fraction(1, 3)}) == matvec(m, {1: Fraction(1, 3)}) == {1: 1}
+
+
 # --- the number rule: int and Fraction inputs give the same results ----------
 
 def test_set_stores_an_int_when_integral():

@@ -415,6 +415,20 @@ def test_to_coords_agrees_with_projection():
         assert project_to_ring(rebuilt) == project_to_ring(e)
 
 
+def test_to_coords_of_an_integer_element_are_ints():
+    rng = random.Random(5)
+    matchings = enumerate_matchings(8)
+    for _ in range(10):
+        e = SymElement.from_terms(8, 2, [
+            (tuple(rng.choice(matchings) for _ in range(2)), 3),
+            (tuple(rng.choice(matchings) for _ in range(2)), Fraction(-4, 2))])
+        coords = to_coords(e)
+        assert coords and all(type(c) is int and c for c in coords.values())
+        halves = to_coords(e.scale(Fraction(1, 2)))
+        assert all(type(c) is Fraction for c in halves.values())
+        assert halves == {k: Fraction(c, 2) for k, c in coords.items()}
+
+
 def test_to_coords_with_fractional_coefficients():
     # integer accumulation over a common denominator, checked by evaluation
     rng = random.Random(7)

@@ -12,11 +12,17 @@ from plucker.graph_core import (
     perm_sign_of_map,
 )
 from plucker.invariant_ring import RingElement, straighten_graph, x_of
+from plucker import symmetry_rep
+from plucker.exact_linalg import IncrementalSpan
 from plucker.relations import (
     SymElement,
     component_partition_of_monomial,
     coords_vector,
+    ideal_component_dim,
     matching_in_y_basis,
+    project_to_ring,
+    segre_cubic,
+    simplest_binomial,
     sym_basis,
 )
 from plucker.symmetry_rep import (
@@ -24,6 +30,7 @@ from plucker.symmetry_rep import (
     ClassFunction,
     act_ring,
     act_sym,
+    all_perms,
     character_of_action,
     class_size,
     decompose,
@@ -36,7 +43,9 @@ from plucker.symmetry_rep import (
     inner_product,
     irreducible_character,
     mn_character,
+    orbit_span_check,
     partitions,
+    quadratic_ideal_irrep,
     refines,
 )
 
@@ -283,3 +292,93 @@ def test_component_partition_of_monomial():
     hexagon = ((1, 2), (3, 4), (5, 6))
     other = ((2, 3), (4, 5), (1, 6))
     assert component_partition_of_monomial(6, (hexagon, hexagon, other)) == (6,)
+
+
+# --- orbit spans: the isotypic certificate against the permutation scan --------
+
+def _simplest(n):
+    """The simplest binomial of two 4-cycles, doubled on (9, 10) at n = 10."""
+    rest = ((9, 10),) if n == 10 else ()
+    return simplest_binomial((1, 2, 6, 5), (3, 4, 8, 7), doubled_rest=rest)
+
+
+def _scan_rank(rel, perms):
+    """Rank of the orbit images under perms, grown in one span up to dim I^(2)."""
+    target = ideal_component_dim(rel.n, rel.degree)
+    span = IncrementalSpan(len(sym_basis(rel.n, rel.degree)))
+    for sigma in perms:
+        if span.dim == target:
+            break
+        span.add(coords_vector(act_sym(sigma, rel)))
+    return span.dim
+
+
+def _no_permutations(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("the certificate route tried a permutation")
+    monkeypatch.setattr(symmetry_rep, "act_sym", refuse)
+
+
+def test_quadratic_ideal_irrep():
+    assert quadratic_ideal_irrep(8) == (2, 2, 2, 2)
+    assert quadratic_ideal_irrep(10) == (4, 2, 2, 2)
+    assert quadratic_ideal_irrep(6) is None  # I2_6 = 0
+    assert quadratic_ideal_irrep(4) is None
+
+
+def test_certificate_agrees_with_the_scan_at_8():
+    rel = _simplest(8)
+    assert _scan_rank(rel, all_perms(8)) == 14
+    assert orbit_span_check(rel) == (14, True)
+
+
+def test_certificate_agrees_with_the_scan_at_10():
+    # seeded random permutations into one span, as the orbit benchmark does
+    rel = _simplest(10)
+    rng = random.Random(0)
+
+    def perms():
+        for _ in range(1500):
+            image = list(range(1, 11))
+            rng.shuffle(image)
+            yield dict(zip(range(1, 11), image))
+
+    assert _scan_rank(rel, perms()) == 300
+    assert orbit_span_check(rel) == (300, True)
+
+
+def test_certificate_tries_no_permutation(monkeypatch):
+    _no_permutations(monkeypatch)
+    assert orbit_span_check(_simplest(8)) == (14, True)
+    assert orbit_span_check(_simplest(10)) == (300, True)
+    # the certificate still needs a relation: a square projects to nonzero
+    for n in (8, 10):
+        m = tuple((i, i + 1) for i in range(1, n, 2))
+        with pytest.raises(ValueError, match="not a relation"):
+            orbit_span_check(SymElement.monomial(n, (m, m)))
+
+
+def test_degree_three_takes_the_scan(monkeypatch):
+    calls = []
+
+    def counted(sigma, e):
+        calls.append(sigma)
+        return act_sym(sigma, e)
+
+    monkeypatch.setattr(symmetry_rep, "act_sym", counted)
+    assert orbit_span_check(segre_cubic()) == (1, True)
+    assert len(calls) == 1
+
+
+def test_zero_in_coordinates_does_not_certify(monkeypatch):
+    # Y of a crossing matching times Y(m), minus its non-crossing expansion
+    # times Y(m): nonzero terms, zero vector in Sym^2(V)
+    crossing = ((1, 3), (2, 4), (5, 6), (7, 8))
+    m = ((1, 2), (3, 4), (5, 6), (7, 8))
+    expansion = matching_in_y_basis(8, crossing)
+    rel = SymElement.from_terms(8, 2, [((crossing, m), 1)] + [
+        ((g, m), -c) for g, c in expansion.items()])
+    assert not rel.is_zero() and not coords_vector(rel)
+    assert project_to_ring(rel).is_zero()
+    _no_permutations(monkeypatch)
+    assert orbit_span_check(rel) == (0, False)

@@ -59,6 +59,29 @@ def test_cat_weighting_rejects_bad_shapes():
         normal_form(())
 
 
+def test_sums_need_one_caterpillar():
+    small = CatWeighting(3, (1, 1, 0), ())
+    big = CatWeighting(4, (1, 1, 1, 1), (1,))
+    with pytest.raises(ValueError, match="different r"):
+        small + big
+    with pytest.raises(ValueError, match="different r"):
+        sum_weighting((big, small, big))
+    with pytest.raises(ValueError, match="non-empty"):
+        sum_weighting(())
+
+
+def test_sum_weighting_is_the_fold_of_pairwise_sums():
+    rng = random.Random(2)
+    for _ in range(100):
+        pool = enumerate_reduced_matchings(rng.choice((3, 5, 7)))
+        tup = tuple(rng.choice(pool) for _ in range(rng.randint(1, 5)))
+        total = tup[0]
+        for entry in tup[1:]:
+            total = total + entry
+        assert sum_weighting(tup) == total
+        assert sum_weighting(list(tup)) == total
+
+
 def test_is_balanced():
     a = CatWeighting(4, (1, 1, 0, 0), (0,))
     assert is_balanced((a,))
