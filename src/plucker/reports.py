@@ -219,10 +219,11 @@ def criterion_rewriting(seed: int = 0, trials: int = 500, **_) -> dict:
     # normal form: unique across randomized quadratic-equivalent tuples
     unbreakable = {r: tuple(m for m in toric_rewriting.enumerate_reduced_matchings(r)
                             if m.is_unbreakable()) for r in (4, 5, 6)}
+    pair_tables = {r: toric_rewriting.pairs_by_sum(pool) for r, pool in unbreakable.items()}
     for _ in range(trials):
         r = rng.choice((4, 5, 6))
         pool = unbreakable[r]
-        pairs = toric_rewriting.pairs_by_sum(pool)
+        pairs = pair_tables[r]
         k = rng.randint(1, 4)
         tup = tuple(rng.choice(pool) for _ in range(k))
         scrambled = list(tup)

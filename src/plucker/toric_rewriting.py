@@ -9,6 +9,12 @@ tuples of these are the monomials of the degenerated ring, and the operations
 here (balancing, normal forms, type vectors, the toric cubic move) implement
 its relation calculus.
 
+Reduced matchings live in one table, ``reduced_matching``: each value
+(stalks, bases) is validated the first time it is met and maps to one
+instance from then on.  The table is the validation: normal forms check
+their entries and take their outputs by lookup, without rebuilding or
+rechecking a weighting, and pair tables build one weighting per distinct sum.
+
 The *spine* (s1, b2, ..., b_{r-2}, sr) lists the flanks of the base vertices
 left to right, the end stalks being the outer flanks.  Base vertex v sits
 between spine[v-2] and spine[v-1], so its local triple is (spine[v-2], s_v,
@@ -20,6 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from .toric_trees import admissible_triple
 
@@ -58,7 +65,8 @@ class CatWeighting:
         return cls(len(middle) + 2, spine[:1] + middle + spine[-1:], spine[1:-1])
 
     def local_triple(self, v: int) -> Triple:
-        assert 2 <= v <= self.r - 1
+        if not 2 <= v <= self.r - 1:
+            raise ValueError(f"base vertices run 2..{self.r - 1}, got {v}")
         spine = self.spine
         return (spine[v - 2], self.stalks[v - 1], spine[v - 1])
 
@@ -69,12 +77,9 @@ class CatWeighting:
         return all(admissible_triple(a, s, c, reduced=True)
                    for a, s, c in zip(spine, self.stalks[1:-1], spine[1:]))
 
-    def is_reduced_matching(self) -> bool:
-        return self.is_admissible() and all(s <= 1 for s in self.stalks)
-
     def is_unbreakable(self) -> bool:
         """No base edge carries weight zero (vacuous when r = 3)."""
-        return all(b > 0 for b in self.bases)
+        return 0 not in self.bases
 
     def __add__(self, other: "CatWeighting") -> "CatWeighting":
         return sum_weighting((self, other))
@@ -100,6 +105,24 @@ def sum_weighting(tup) -> CatWeighting:
         raise ValueError("cannot add weightings on caterpillars of different r")
     return CatWeighting(r, tuple(map(sum, zip(*[entry.stalks for entry in tup]))),
                         tuple(map(sum, zip(*[entry.bases for entry in tup]))))
+
+
+@lru_cache(maxsize=None)
+def reduced_matching(stalks: tuple[int, ...],
+                     bases: tuple[int, ...]) -> CatWeighting | None:
+    """The table's reduced matching with these stalk and base values.
+
+    ``None`` when they make no reduced matching (an inadmissible weighting,
+    or a stalk above 1).  A key is validated once, the first time it is met,
+    and maps to the same instance from then on; the instance shares the key's
+    tuples.  The table fills as keys are met rather than from
+    ``enumerate_reduced_matchings``, whose size grows as the Catalan numbers
+    in r.
+    """
+    entry = CatWeighting(len(stalks), stalks, bases)
+    if entry.is_admissible() and max(stalks) <= 1:
+        return entry
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -210,17 +233,22 @@ def _glue_balanced(r: int, per_vertex: dict[int, list[Triple]], n: int):
 def balance(tup):
     """Sum-preserving quadratic balancing; returns the balanced tuple.
 
-    The entries are reduced caterpillar weightings with middle stalks <= 1.
+    The entries are admissible weightings on one caterpillar with middle
+    stalks <= 1; ``ValueError`` otherwise, or on an empty tuple.
     """
-    if _columns_within_one(entry.spine for entry in tup):
-        return tuple(tup)
-    tup = list(tup)
-    assert tup, "empty tuple"
+    tup = tuple(tup)
+    if not tup:
+        raise ValueError("balance needs a non-empty tuple")
     r = tup[0].r
     for entry in tup:
-        assert entry.r == r and entry.is_admissible()
-        assert all(s <= 1 for s in entry.stalks[1:-1]), \
-            "middle stalks must be at most 1"
+        if entry.r != r:
+            raise ValueError("cannot balance weightings on caterpillars of different r")
+        if not entry.is_admissible():
+            raise ValueError(f"{entry} is not admissible")
+        if max(entry.stalks[1:-1]) > 1:
+            raise ValueError(f"{entry} has a middle stalk above 1")
+    if _columns_within_one(entry.spine for entry in tup):
+        return tup
     per_vertex = {v: balance_triples([e.local_triple(v) for e in tup])
                   for v in range(2, r)}
     out = _glue_balanced(r, per_vertex, len(tup))
@@ -249,7 +277,8 @@ def type_at(tup, v: int) -> str | None:
 
 def type_vector(tup) -> tuple[str | None, ...]:
     """The A/B/None pattern at every base vertex (length-3 tuples only)."""
-    assert len(tup) == 3, "type vectors are defined for triples"
+    if len(tup) != 3:
+        raise ValueError(f"type vectors are defined for triples, got {len(tup)} entries")
     r = tup[0].r
     return tuple(type_at(tup, v) for v in range(2, r))
 
@@ -272,7 +301,8 @@ def toric_segre_move(tup, v: int):
     type coordinate.  Raises if the required local pattern is absent.
     """
     tup = tuple(tup)
-    assert len(tup) == 3
+    if len(tup) != 3:
+        raise ValueError(f"the cubic move acts on triples, got {len(tup)} entries")
     t = type_at(tup, v)
     if t == "A":
         ones = [e for e in tup if e.local_triple(v) == (1, 1, 1)]
@@ -304,6 +334,11 @@ def normal_form(tup):
     edge; built from the sum alone, it is idempotent and invariant under
     permutations, and tuples with equal sums map to equal outputs.  It needs
     r >= 4: at r = 3 unbreakability is vacuous and the dealt form may not fit.
+
+    The table of reduced matchings is the validation: each entry must be an
+    unbreakable matching in ``reduced_matching``, and each dealt output is
+    taken from it (``ValueError`` if it is not there), so the outputs are
+    the table's own instances.
     """
     tup = tuple(tup)
     if not tup:
@@ -313,9 +348,10 @@ def normal_form(tup):
     if r < 4:
         raise ValueError(f"normal_form needs r >= 4, got r = {r}")
     for entry in tup:
-        if not entry.is_reduced_matching():
+        known = reduced_matching(entry.stalks, entry.bases)
+        if known is None:
             raise ValueError("entries must be reduced matchings")
-        if not entry.is_unbreakable():
+        if not known.is_unbreakable():
             raise ValueError("normal_form requires unbreakable entries")
     total = sum_weighting(tup)
 
@@ -345,11 +381,13 @@ def normal_form(tup):
             values[i] = 1
         middle_cols.append(values)
 
+    stalk_cols = [spine_cols[0], *middle_cols, spine_cols[-1]]
     out = []
-    for i in range(n):
-        entry = CatWeighting.from_spine([col[i] for col in spine_cols],
-                                        [col[i] for col in middle_cols])
-        assert entry.is_reduced_matching() and entry.is_unbreakable()
+    for stalks, bases in zip(zip(*stalk_cols), zip(*spine_cols[1:-1])):
+        entry = reduced_matching(stalks, bases)
+        if entry is None or not entry.is_unbreakable():
+            raise ValueError(f"dealt stalks {stalks} and bases {bases} "
+                             "make no unbreakable reduced matching")
         out.append(entry)
     result = tuple(out)
     assert sum_weighting(result) == total
@@ -363,12 +401,23 @@ def normal_form(tup):
 def pairs_by_sum(universe: tuple) -> dict:
     """The ordered pairs of universe entries, grouped by their sum.
 
-    Each group lists its pairs in ``itertools.product`` order.
+    Each group lists its pairs in ``itertools.product`` order, and the groups
+    come in the order of their first pair.  The pairs are grouped by their
+    raw column sums, and the table is the validation: one weighting is built
+    and checked per distinct sum, not one per pair.  ``ValueError`` on
+    entries of different r.
     """
-    index: dict = {}
-    for x, y in itertools.product(universe, repeat=2):
-        index.setdefault(x + y, []).append((x, y))
-    return index
+    if not universe:
+        return {}
+    r = universe[0].r
+    if any(entry.r != r for entry in universe):
+        raise ValueError("cannot add weightings on caterpillars of different r")
+    rows = [(entry, entry.stalks + entry.bases) for entry in universe]
+    groups: dict = {}
+    for (x, xs), (y, ys) in itertools.product(rows, repeat=2):
+        groups.setdefault(tuple(map(add, xs, ys)), []).append((x, y))
+    return {CatWeighting(r, column_sums[:r], column_sums[r:]): pairs
+            for column_sums, pairs in groups.items()}
 
 
 def quadratic_neighbors(tup, universe):

@@ -141,6 +141,12 @@ BAD_DIRECT_CALLS = [
     "RingElement.zero(4) + RingElement.zero(6)",
     "CatWeighting(3, (1, 1, 0), ()) + CatWeighting(4, (1, 1, 1, 1), (1,))",
     "sum_weighting((CatWeighting(3, (1, 1, 0), ()), CatWeighting(4, (1, 1, 1, 1), (1,))))",
+    "balance((CatWeighting(4, (1, 1, 1, 1), (1,)), CatWeighting(5, (1, 1, 1, 1, 1), (1, 1))))",
+    "balance((CatWeighting(4, (0, 3, 3, 0), (0,)),))",
+    "type_vector((CatWeighting(4, (1, 1, 1, 1), (1,)),))",
+    "toric_segre_move((CatWeighting(3, (1, 1, 1), ()),) * 2, 2)",
+    "CatWeighting(4, (1, 1, 1, 1), (1,)).local_triple(1)",
+    "CatWeighting(4, (1, 1, 1, 1), (1,)).local_triple(4)",
 ]
 
 # Runs each argv of BAD_USER_INPUTS (the "argv" list of the JSON on stdin)
@@ -151,7 +157,8 @@ _RUN_ALL_MAIN = """
 import contextlib, io, json, sys, traceback
 from plucker.cli import main
 from plucker.invariant_ring import PointConfig, RingElement
-from plucker.toric_rewriting import CatWeighting, sum_weighting
+from plucker.toric_rewriting import (
+    CatWeighting, balance, sum_weighting, toric_segre_move, type_vector)
 payload = json.load(sys.stdin)
 results = []
 for argv in payload["argv"]:

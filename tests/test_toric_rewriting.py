@@ -3,6 +3,8 @@ import random
 from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plucker.toric_rewriting import (
     CatWeighting,
@@ -13,6 +15,7 @@ from plucker.toric_rewriting import (
     normal_form,
     pairs_by_sum,
     quadratic_neighbors,
+    reduced_matching,
     sum_weighting,
     toric_segre_move,
     type_vector,
@@ -264,7 +267,7 @@ def test_type_not_invariant_beyond_matching_values():
              CatWeighting(4, (1, 1, 1, 1), (2,)),
              CatWeighting(4, (0, 0, 1, 1), (0,)))
     assert sum_weighting(before) == sum_weighting(after)
-    assert all(e.is_reduced_matching() for e in before + after)
+    assert all(reduced_matching(e.stalks, e.bases) == e for e in before + after)
     # the two differ in exactly two slots: a degree-2 move
     assert sum(a != b for a, b in zip(before, after)) == 2
     assert type_vector(before) == (None, "A")
@@ -351,3 +354,78 @@ def test_normal_form_is_ascending_in_the_letter_order():
         for v in range(3, 4):  # interior trinode of the 5th caterpillar
             keys = [letter_key(e, v) for e in nf]
             assert keys == sorted(keys)
+
+
+def _from_spine_normal_form(tup):
+    """Reference: the normal form dealt from the sum and built by ``from_spine``."""
+    n, r = len(tup), tup[0].r
+    total = sum_weighting(tup)
+    spine_cols = [[value // n] * (n - value % n) + [value // n + 1] * (value % n)
+                  for value in total.spine]
+    middle_cols = []
+    for v in range(2, r):
+        left, right = spine_cols[v - 2], spine_cols[v - 1]
+        values = [int(left[i] != right[i]) for i in range(n)]
+        free = [i for i in range(n) if left[i] == right[i] > 0]
+        budget = total.stalks[v - 1] - sum(values)
+        for i in free[len(free) - budget:]:
+            values[i] = 1
+        middle_cols.append(values)
+    return tuple(CatWeighting.from_spine([col[i] for col in spine_cols],
+                                         [col[i] for col in middle_cols])
+                 for i in range(n))
+
+
+_UNBREAKABLE = {r: tuple(m for m in enumerate_reduced_matchings(r) if m.is_unbreakable())
+                for r in range(4, 9)}
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.sampled_from(range(4, 9)).flatmap(
+    lambda r: st.lists(st.sampled_from(_UNBREAKABLE[r]), min_size=1, max_size=5)))
+def test_normal_form_agrees_with_the_from_spine_derivation(entries):
+    tup = tuple(entries)
+    nf = normal_form(tup)
+    assert nf == _from_spine_normal_form(tup)
+    for entry in nf:
+        assert entry is reduced_matching(entry.stalks, entry.bases)
+
+
+def test_the_table_holds_exactly_the_enumerated_matchings():
+    # every weighting with stalks <= 2 and bases <= 3 at r = 4, 5: the table
+    # finds exactly the enumerated ones, and finds them equal
+    for r in (4, 5):
+        enumerated = set(enumerate_reduced_matchings(r))
+        found = 0
+        for stalks in itertools.product(range(3), repeat=r):
+            for bases in itertools.product(range(4), repeat=r - 3):
+                w = CatWeighting(r, stalks, bases)
+                entry = reduced_matching(stalks, bases)
+                assert (entry is not None) == (w in enumerated)
+                if entry is not None:
+                    assert entry == w
+                    found += 1
+        assert found == len(enumerated)
+
+
+def test_pairs_by_sum_agrees_with_pairwise_sums():
+    pools = [_UNBREAKABLE[r] for r in (4, 5, 6)] + \
+        [enumerate_reduced_matchings(r) for r in (3, 4, 5)]
+    for pool in pools:
+        expected = {}
+        for x, y in itertools.product(pool, repeat=2):
+            expected.setdefault(x + y, []).append((x, y))
+        assert list(pairs_by_sum(pool).items()) == list(expected.items())
+    with pytest.raises(ValueError, match="different r"):
+        pairs_by_sum((CatWeighting(3, (1, 1, 0), ()), CatWeighting(4, (1, 1, 1, 1), (1,))))
+
+
+def test_normal_form_refuses_entries_outside_the_table():
+    good = CatWeighting(4, (1, 1, 1, 1), (1,))
+    for bad, message in (
+            (CatWeighting(4, (1, 2, 1, 1), (1,)), "reduced matchings"),   # a stalk of 2
+            (CatWeighting(4, (0, 0, 0, 0), (1,)), "reduced matchings"),   # inadmissible
+            (CatWeighting(4, (0, 0, 0, 0), (0,)), "unbreakable"),
+            (CatWeighting(5, (1, 1, 1, 1, 1), (1, 1)), "different r")):
+        with pytest.raises(ValueError, match=message):
+            normal_form((good, bad))
