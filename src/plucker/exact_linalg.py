@@ -109,7 +109,7 @@ class QMatrix:
         return f"QMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
 
 
-def _int_row(vector: dict[int, int | Fraction]) -> dict[int, int]:
+def primitive_row(vector: dict[int, int | Fraction]) -> dict[int, int]:
     """Primitive integer row of a rational vector ``{col: value}``.
 
     A row of ints skips the ``Fraction``/``lcm`` round trip.
@@ -212,11 +212,11 @@ class IncrementalSpan:
         self.pivots[col] = {c: sign * v for c, v in row.items()}
 
     def _row(self, vector) -> dict[int, int]:
-        """``_int_row`` of a vector; ``ValueError`` on a column outside 0..cols-1."""
+        """``primitive_row`` of a vector; ``ValueError`` on a column outside 0..cols-1."""
         for c in vector:
             if not 0 <= c < self.cols:
                 raise ValueError(f"column {c} outside 0..{self.cols - 1}")
-        return _int_row(vector)
+        return primitive_row(vector)
 
     def add(self, vector) -> bool:
         row = self._reduce(self._row(vector))
@@ -234,7 +234,7 @@ def _row_space(m: QMatrix) -> IncrementalSpan:
     span = IncrementalSpan(m.cols)
     uses: dict[int, int] = {}  # column -> pivot rows nonzero there
     for row in m.row_dicts():
-        row = span._reduce(_int_row(row))
+        row = span._reduce(primitive_row(row))
         if row:
             span._keep(min(row, key=lambda c: (uses.get(c, 0), c)), row)
             for c in row:

@@ -178,17 +178,33 @@ def to_coords(e: SymElement) -> dict[Monomial, int | Fraction]:
     denom = lcm(*(c.denominator for c in e.terms.values()))
     acc: dict[Monomial, int] = {}
     for mono, coeff in e.terms.items():
-        num = coeff.numerator * (denom // coeff.denominator)
-        expansions = [matching_in_y_basis(e.n, m).items() for m in mono]
-        for combo in itertools.product(*expansions):
-            key = tuple(sorted(g for g, _ in combo))
-            c = num
-            for _, a in combo:
-                c *= a
-            acc[key] = acc.get(key, 0) + c
+        _expand_monomial(e.n, mono, coeff.numerator * (denom // coeff.denominator), acc)
     if denom == 1:
         return {k: v for k, v in acc.items() if v}
     return {k: Fraction(v, denom) for k, v in acc.items() if v}
+
+
+def _expand_monomial(n: int, mono, num: int, acc: dict[Monomial, int]) -> None:
+    """Add ``num`` times the product of the layers' Y-basis expansions to ``acc``."""
+    expansions = [matching_in_y_basis(n, m).items() for m in mono]
+    for combo in itertools.product(*expansions):
+        key = tuple(sorted(g for g, _ in combo))
+        c = num
+        for _, a in combo:
+            c *= a
+        acc[key] = acc.get(key, 0) + c
+
+
+def monomial_vector(n: int, mono) -> dict[int, int]:
+    """Integer coordinates of one monomial of matchings, by ``sym_basis`` column.
+
+    The same as ``coords_vector(SymElement.monomial(n, mono))`` for a monomial
+    of perfect matchings in canonical form, without building the element.
+    """
+    acc: dict[Monomial, int] = {}
+    _expand_monomial(n, mono, 1, acc)
+    index = _basis_index(n, len(mono))
+    return {index[key]: c for key, c in acc.items() if c}
 
 
 @lru_cache(maxsize=None)
@@ -755,11 +771,13 @@ def ideal_kernel_basis(n: int, k: int) -> list[dict[int, Fraction]]:
 def _quadratic_ideal_span(n: int):
     """V-multiples of the quadratic relations and their span, built once per n.
 
+    Each kernel vector is scaled to its primitive integer row first, so the
+    multiples, the span's reductions and ``matvec`` on them run on ``int``s.
     Shared by every caller; none may add to the span or change a vector.
     """
     if n > 8:
         raise ValueError("feasibility guard: n <= 8")
-    quads = ideal_kernel_basis(n, 2)
+    quads = [exact_linalg.primitive_row(q) for q in ideal_kernel_basis(n, 2)]
     basis2 = sym_basis(n, 2)
     index3 = _basis_index(n, 3)
     # multiplying by v maps distinct quadratic monomials to distinct cubic

@@ -7,7 +7,9 @@ whether one relation's orbit spans its piece I^(k) of the ideal.  In degree
 its hook-length dimension is dim I^(2) (n = 8 and 10), any nonzero relation
 generates I^(2), so a character computation answers with no permutation
 tried.  Elsewhere (degree 3 and up, such as the Segre cubic at n = 6) the
-orbit is scanned, growing an exact span until it reaches dim I^(k).  For
+orbit span is grown as the closure of the relation under the two
+generators (1 2) and (1 2 ... n) of S_n, in one exact span, until it is
+stable or reaches dim I^(k); no permutation outside the two is tried.  For
 n <= 6, I^(2) = 0 and every relation is zero in coordinates.  I^(2)_12 has
 two irreducible parts, so the certificate would not apply there; the
 feasibility guard of ``ideal_component_dim`` refuses n = 12 before either
@@ -16,7 +18,12 @@ route.
 Characters of the induced actions on V, Sym^2(V), Lambda^2(V), R^(2) and
 I^(2) come from one trace formula, ``invariant_ring.degree_trace`` (the
 SL_2 weight count), and the cycle index for the symmetric and exterior
-squares; nothing is straightened.
+squares; nothing is straightened.  They are decomposed against one
+character table of S_n per n, built once in ``int``s.
+
+The partition filtration on Sym^3(V) is built from one basis per
+component-partition group of degree-3 monomials, computed once per n;
+F_p is the span of the groups q <= p.
 
 All representation arithmetic is exact: Murnaghan-Nakayama for irreducible
 characters, the cycle-type formula for class sizes, hook lengths for
@@ -26,6 +33,7 @@ dimensions.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -39,18 +47,13 @@ from .relations import (
     component_partition_of_monomial,
     coords_vector,
     ideal_component_dim,
+    monomial_vector,
     project_to_ring,
     sym_basis,
 )
 
 Perm = dict[int, int]
 PartitionT = tuple[int, ...]
-
-
-def all_perms(n: int):
-    base = list(range(1, n + 1))
-    for img in itertools.permutations(base):
-        yield dict(zip(base, img))
 
 
 # --- action on elements ---------------------------------------------------------
@@ -90,9 +93,8 @@ def orbit_span_check(rel: SymElement):
     the partition of an irreducible I^(2), the span of a nonzero orbit is a
     nonzero submodule of I^(2), so it is all of it, and the answer is
     (dim I^(2), True) with no permutation tried.  This covers n = 8 and 10.
-    Every other case (degree 3 and up, or a reducible I^(2)) scans S_n in
-    ``all_perms`` order, growing one ``IncrementalSpan`` until it reaches
-    the ideal dimension.
+    Every other case (degree 3 and up, or a reducible I^(2)) grows the
+    orbit span by ``orbit_closure`` up to the ideal dimension.
     """
     n, k = rel.n, rel.degree
     target = ideal_component_dim(n, k)
@@ -103,12 +105,36 @@ def orbit_span_check(rel: SymElement):
         return 0, target == 0
     if k == 2 and quadratic_ideal_irrep(n) is not None:
         return target, True
-    span = exact_linalg.IncrementalSpan(len(sym_basis(n, k)))
-    for sigma in all_perms(n):
-        span.add(coords_vector(act_sym(sigma, rel)))
-        if span.dim == target:
-            return target, True
-    return span.dim, span.dim == target
+    dim = orbit_closure(rel, target).dim
+    return dim, dim == target
+
+
+def orbit_closure(rel: SymElement, target: int) -> exact_linalg.IncrementalSpan:
+    """The span of the S_n-orbit of ``rel``, or a part of it of dimension ``target``.
+
+    S_n is generated by (1 2) and (1 2 ... n).  The span starts at ``rel``;
+    both generators are applied to every image that enlarged it, until a
+    pass adds nothing.  Each kept image then maps into the span under both
+    generators, so the span is stable under S_n and is the orbit span.  It
+    stops early once its dimension reaches ``target``; at most two images
+    are tried per dimension.
+    """
+    n = rel.n
+    generators = ({1: 2, 2: 1} | {i: i for i in range(3, n + 1)},
+                  {i: i % n + 1 for i in range(1, n + 1)})
+    span = exact_linalg.IncrementalSpan(len(sym_basis(n, rel.degree)))
+    frontier = [rel] if span.add(coords_vector(rel)) else []
+    while frontier and span.dim < target:
+        grown = []
+        for element in frontier:
+            for sigma in generators:
+                image = act_sym(sigma, element)
+                if span.add(coords_vector(image)):
+                    grown.append(image)
+                    if span.dim == target:
+                        return span
+        frontier = grown
+    return span
 
 
 @lru_cache(maxsize=None)
@@ -203,35 +229,53 @@ class ClassFunction:
     """Rational class function on S_n, stored per cycle type."""
 
     n: int
-    values: dict[PartitionT, Fraction]
+    values: dict[PartitionT, int | Fraction]
 
-    def __call__(self, mu: PartitionT) -> Fraction:
+    def __call__(self, mu: PartitionT) -> int | Fraction:
         return self.values[tuple(mu)]
 
 
-def irreducible_character(lam: PartitionT) -> ClassFunction:
-    n = sum(lam)
-    return ClassFunction(n, {mu: Fraction(mn_character(lam, mu))
-                             for mu in partitions(n)})
+@dataclass(frozen=True)
+class CharacterTable:
+    """The character table of S_n in ``int``s.
+
+    ``classes`` are the cycle types, ``partitions(n)``; ``sizes`` their class
+    sizes; ``rows`` the irreducible characters, one Murnaghan-Nakayama row
+    per partition in the same order, each listing its values on ``classes``.
+    """
+
+    classes: tuple[PartitionT, ...]
+    sizes: tuple[int, ...]
+    rows: tuple[tuple[int, ...], ...]
 
 
-def inner_product(chi: ClassFunction, psi: ClassFunction) -> Fraction:
-    n = chi.n
-    total = Fraction(0)
-    for mu in partitions(n):
-        total += class_size(mu) * chi.values[mu] * psi.values[mu]
-    return total / factorial(n)
+@lru_cache(maxsize=None)
+def character_table(n: int) -> CharacterTable:
+    """The character table of S_n, built once per n."""
+    classes = partitions(n)
+    return CharacterTable(classes, tuple(class_size(mu) for mu in classes),
+                          tuple(tuple(mn_character(lam, mu) for mu in classes)
+                                for lam in classes))
 
 
 def decompose(chi: ClassFunction) -> dict[PartitionT, int]:
-    """Multiplicities of the irreducibles; raises on non-integral values."""
+    """Multiplicities of the irreducibles, from the cached character table.
+
+    The multiplicity of lambda is the sum over classes of size * chi * chi_lambda,
+    divided once by n!; ``ValueError`` when one is not a non-negative integer.
+    """
+    table = character_table(chi.n)
+    weighted = [size * chi.values[mu] for mu, size in zip(table.classes, table.sizes)]
+    order = factorial(chi.n)
     out: dict[PartitionT, int] = {}
-    for lam in partitions(chi.n):
-        mult = inner_product(chi, irreducible_character(lam))
-        if mult.denominator != 1 or mult < 0:
-            raise ValueError(f"non-integral multiplicity {mult} at {lam}")
+    for lam, row in zip(table.classes, table.rows):
+        total = sum(w * x for w, x in zip(weighted, row))
+        mult, rem = divmod(total, order)
+        if rem or mult < 0:
+            raise ValueError(f"multiplicity {Fraction(total) / order} at {lam} "
+                             "is not a non-negative integer")
         if mult:
-            out[lam] = int(mult)
+            out[lam] = mult
     return out
 
 
@@ -239,8 +283,10 @@ def decompose(chi: ClassFunction) -> dict[PartitionT, int]:
 
 SPACES = ("V", "Sym2V", "Lam2V", "R2", "I2")
 
-# decompose costs p(n)^2 Murnaghan-Nakayama values: one space took 0.5 s at
-# n = 14, 1.2 s at n = 16 and 3.1 s at n = 18 (2-vCPU VM, Python 3.11.7).
+# The first decompose at an n builds its character table, p(n)^2
+# Murnaghan-Nakayama values: 0.28 s at n = 14, 0.83 s at n = 16 and 2.2 s at
+# n = 18; each further space at that n then took 0.01-0.07 s (2-vCPU VM,
+# Python 3.11.7).
 MAX_CHARACTER_N = 14
 
 
@@ -269,8 +315,8 @@ def character_of_action(n: int, space: str) -> ClassFunction:
         v_sq = degree_trace(_square_cycle_type(mu), 1)
         sym2 = (v * v + v_sq) // 2
         r2 = degree_trace(mu, 2)
-        values[mu] = Fraction({"V": v, "Sym2V": sym2, "Lam2V": (v * v - v_sq) // 2,
-                               "R2": r2, "I2": sym2 - r2}[space])
+        values[mu] = {"V": v, "Sym2V": sym2, "Lam2V": (v * v - v_sq) // 2,
+                      "R2": r2, "I2": sym2 - r2}[space]
     return ClassFunction(n, values)
 
 
@@ -322,22 +368,31 @@ def refines(q: PartitionT, p: PartitionT) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _sym3_monomials_by_partition(n: int):
-    """All degree-3 multi-matching monomials, grouped by component partition."""
-    groups: dict[PartitionT, list] = {}
+def _group_bases(n: int) -> dict[PartitionT, tuple[dict[int, int], ...]]:
+    """A basis of the span of each component-partition group of degree-3 monomials.
+
+    Every monomial's coordinates are computed once, from the products of
+    Y-basis expansions, and added to its group's span; a group stops once it
+    spans all of Sym^3.  The values are the pivot rows, keyed by the group's
+    component partition.  Shared by every caller; none may change a row.
+    """
+    full = len(sym_basis(n, 3))
+    spans: dict[PartitionT, exact_linalg.IncrementalSpan] = \
+        defaultdict(lambda: exact_linalg.IncrementalSpan(full))
     for mono in itertools.combinations_with_replacement(enumerate_matchings(n), 3):
-        part = component_partition_of_monomial(n, mono)
-        groups.setdefault(part, []).append(mono)
-    return groups
+        span = spans[component_partition_of_monomial(n, mono)]
+        if span.dim < full:
+            span.add(monomial_vector(n, mono))
+    return {part: tuple(span.pivots.values()) for part, span in spans.items()}
 
 
 def filtration_span(n: int, parts) -> exact_linalg.IncrementalSpan:
     """Span of all degree-3 monomials whose component partition is in parts."""
-    groups = _sym3_monomials_by_partition(n)
+    bases = _group_bases(n)
     span = exact_linalg.IncrementalSpan(len(sym_basis(n, 3)))
     for part in parts:
-        for mono in groups.get(part, []):
-            span.add(coords_vector(SymElement.monomial(n, mono)))
+        for row in bases.get(part, ()):
+            span.add(row)
     return span
 
 
@@ -351,7 +406,8 @@ def gr_dim(n: int, p) -> int:
     """dim of the associated graded piece gr_p(Sym^3 V) for n in {4, 6}.
 
     Quotient of F_p by the joint span of all F_q with q strictly finer; if
-    several incomparable q sit below p, all of them are subtracted.
+    several incomparable q sit below p, all of them are subtracted.  F_p is
+    the span of the groups q <= p, so each group adds its cached basis.
     """
     if n not in (4, 6):
         raise ValueError("feasibility guard: n in {4, 6}")
@@ -361,6 +417,6 @@ def gr_dim(n: int, p) -> int:
     below = [q for q in even_partitions(n) if q != p and refines(q, p)]
     span = filtration_span(n, below)
     dim_below = span.dim
-    for mono in _sym3_monomials_by_partition(n).get(p, []):
-        span.add(coords_vector(SymElement.monomial(n, mono)))
+    for row in _group_bases(n).get(p, ()):
+        span.add(row)
     return span.dim - dim_below

@@ -173,11 +173,12 @@ def balance_triples(triples):
     coordinate along when it is strictly ordered the same way.  With b <= 1
     the two flanks of one triple differ by at most one, which is exactly what
     makes every move admissible and the quadratic potential decrease.
+    ``ValueError`` on a triple that is inadmissible or has b > 1.
     """
     work = [tuple(t) for t in triples]
     for a, b, c in work:
-        assert b <= 1 and admissible_triple(a, b, c, reduced=True), \
-            f"bad local triple {(a, b, c)}"
+        if b > 1 or not admissible_triple(a, b, c, reduced=True):
+            raise ValueError(f"bad local triple {(a, b, c)}")
 
     def imbalanced_coordinate():
         for coord in (0, 2):
@@ -275,12 +276,19 @@ def type_at(tup, v: int) -> str | None:
     return None
 
 
-def type_vector(tup) -> tuple[str | None, ...]:
-    """The A/B/None pattern at every base vertex (length-3 tuples only)."""
+def _triple_r(tup) -> int:
+    """The caterpillar of a triple; ``ValueError`` on another length or mixed r."""
     if len(tup) != 3:
-        raise ValueError(f"type vectors are defined for triples, got {len(tup)} entries")
+        raise ValueError(f"types and the cubic move need triples, got {len(tup)} entries")
     r = tup[0].r
-    return tuple(type_at(tup, v) for v in range(2, r))
+    if any(entry.r != r for entry in tup):
+        raise ValueError("cannot type weightings on caterpillars of different r")
+    return r
+
+
+def type_vector(tup) -> tuple[str | None, ...]:
+    """The A/B/None pattern at every base vertex (triples on one caterpillar only)."""
+    return tuple(type_at(tup, v) for v in range(2, _triple_r(tup)))
 
 
 def _splice(left_donor: CatWeighting, local: Triple,
@@ -298,11 +306,11 @@ def toric_segre_move(tup, v: int):
     """Apply the toric generalized Segre cubic relation at base vertex v.
 
     Flips the type at v between A and B, preserves the sum and every other
-    type coordinate.  Raises if the required local pattern is absent.
+    type coordinate.  ``ValueError`` unless the entries form a triple on one
+    caterpillar with the required local pattern at v.
     """
     tup = tuple(tup)
-    if len(tup) != 3:
-        raise ValueError(f"the cubic move acts on triples, got {len(tup)} entries")
+    _triple_r(tup)
     t = type_at(tup, v)
     if t == "A":
         ones = [e for e in tup if e.local_triple(v) == (1, 1, 1)]

@@ -1,5 +1,6 @@
 """Functions that only the tests use: oracles, Y of a matching, the truncation
-map and the stalk and base edges it reads.
+map and the stalk and base edges it reads, the permutations of S_n and the
+character inner product.
 
 None of these is on a path the program runs, so they live beside the tests
 rather than in ``plucker``.
@@ -7,10 +8,13 @@ rather than in ``plucker``.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from math import factorial
 
 from plucker.graph_core import matching_key, orientation_sign
 from plucker.invariant_ring import RingElement
+from plucker.symmetry_rep import ClassFunction, class_size, mn_character, partitions
 from plucker.toric_rewriting import CatWeighting
 from plucker.toric_trees import TrivalentTree, TreeWeighting, build_y_tree
 
@@ -19,6 +23,28 @@ def y_of(n: int, pairs) -> RingElement:
     """Y of an undirected matching: eps(min->max direction) times its X."""
     key = matching_key(pairs)
     return RingElement(n, {key: Fraction(orientation_sign(key))})
+
+
+def all_perms(n: int):
+    """Every permutation of 1..n as a dict, in ``itertools.permutations`` order."""
+    base = list(range(1, n + 1))
+    for img in itertools.permutations(base):
+        yield dict(zip(base, img))
+
+
+def irreducible_character(lam) -> ClassFunction:
+    """chi_lambda as a class function of ``Fraction`` values, by Murnaghan-Nakayama."""
+    n = sum(lam)
+    return ClassFunction(n, {mu: Fraction(mn_character(lam, mu))
+                             for mu in partitions(n)})
+
+
+def inner_product(chi: ClassFunction, psi: ClassFunction) -> Fraction:
+    """<chi, psi> = sum over classes of size * chi * psi / n!, in ``Fraction``s."""
+    total = Fraction(0)
+    for mu in partitions(chi.n):
+        total += class_size(mu) * Fraction(chi.values[mu]) * psi.values[mu]
+    return total / factorial(chi.n)
 
 
 def crossing(e1, e2) -> bool:

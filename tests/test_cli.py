@@ -145,6 +145,11 @@ BAD_DIRECT_CALLS = [
     "balance((CatWeighting(4, (0, 3, 3, 0), (0,)),))",
     "type_vector((CatWeighting(4, (1, 1, 1, 1), (1,)),))",
     "toric_segre_move((CatWeighting(3, (1, 1, 1), ()),) * 2, 2)",
+    # entries on different caterpillars, r = 3 first, of type A at vertex 2
+    "type_vector((CatWeighting(3, (0, 0, 0), ()),) + (CatWeighting(4, (1, 1, 1, 1), (1,)),) * 2)",
+    "toric_segre_move((CatWeighting(3, (0, 0, 0), ()),) + (CatWeighting(4, (1, 1, 1, 1), (1,)),) * 2, 2)",
+    # (0, 3, 0) has a middle stalk above 1
+    "balance_triples([(0, 3, 0), (2, 1, 2)])",
     "CatWeighting(4, (1, 1, 1, 1), (1,)).local_triple(1)",
     "CatWeighting(4, (1, 1, 1, 1), (1,)).local_triple(4)",
 ]
@@ -158,7 +163,7 @@ import contextlib, io, json, sys, traceback
 from plucker.cli import main
 from plucker.invariant_ring import PointConfig, RingElement
 from plucker.toric_rewriting import (
-    CatWeighting, balance, sum_weighting, toric_segre_move, type_vector)
+    CatWeighting, balance, balance_triples, sum_weighting, toric_segre_move, type_vector)
 payload = json.load(sys.stdin)
 results = []
 for argv in payload["argv"]:

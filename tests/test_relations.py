@@ -11,7 +11,7 @@ from plucker.figures import (
     genseg6_datum,
     square_rotation_even_datum,
 )
-from plucker.graph_core import catalan, enumerate_matchings
+from plucker.graph_core import catalan, enumerate_matchings, noncrossing_matchings
 from plucker.invariant_ring import straighten, x_of
 from plucker.relations import (
     BinomialQuadDatum,
@@ -351,6 +351,24 @@ def test_quadratic_ideal_component():
     vecs, dim = quadratic_ideal_component(8)
     assert dim == 196
     assert ideal_component_dim(8, 3) == 196
+
+
+def test_quadratic_ideal_vectors_are_integer_and_span_the_v_multiples():
+    vecs, dim = quadratic_ideal_component(8)
+    assert all(type(x) is int for vec in vecs for x in vec.values())
+    # the V-multiples of the Fraction kernel vectors, built directly
+    basis2, basis3 = sym_basis(8, 2), sym_basis(8, 3)
+    index3 = {m: i for i, m in enumerate(basis3)}
+    multiples = [{index3[tuple(sorted(basis2[j] + (v,)))]: c for j, c in q.items()}
+                 for v in noncrossing_matchings(8) for q in ideal_kernel_basis(8, 2)]
+    assert len(multiples) == len(vecs)
+    ints, fractions = IncrementalSpan(len(basis3)), IncrementalSpan(len(basis3))
+    for vec in vecs:
+        ints.add(vec)
+    for vec in multiples:
+        fractions.add(vec)
+    assert ints.dim == fractions.dim == dim == 196
+    assert all(ints.contains(vec) for vec in multiples)
 
 
 def test_quadratic_ideal_span_is_built_once_and_shared():

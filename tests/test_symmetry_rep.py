@@ -1,8 +1,11 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plucker.graph_core import (
     canonicalize,
@@ -20,7 +23,9 @@ from plucker.relations import (
     coords_vector,
     ideal_component_dim,
     matching_in_y_basis,
+    monomial_vector,
     project_to_ring,
+    segre8,
     segre_cubic,
     simplest_binomial,
     sym_basis,
@@ -30,8 +35,8 @@ from plucker.symmetry_rep import (
     ClassFunction,
     act_ring,
     act_sym,
-    all_perms,
     character_of_action,
+    character_table,
     class_size,
     decompose,
     even_partitions,
@@ -40,14 +45,14 @@ from plucker.symmetry_rep import (
     filtration_span,
     gr_dim,
     hook_length_dim,
-    inner_product,
-    irreducible_character,
     mn_character,
+    orbit_closure,
     orbit_span_check,
     partitions,
     quadratic_ideal_irrep,
     refines,
 )
+from support import all_perms, inner_product, irreducible_character
 
 
 def test_act_examples():
@@ -133,6 +138,53 @@ def test_decompose_regular_representation():
     assert dec == {lam: hook_length_dim(lam) for lam in partitions(n)}
     with pytest.raises(ValueError):
         decompose(ClassFunction(n, {mu: Fraction(1, 2) for mu in partitions(n)}))
+
+
+def test_character_table_rows_are_the_characters():
+    for n in (1, 4, 7):
+        table = character_table(n)
+        assert table.classes == partitions(n)
+        assert table.sizes == tuple(class_size(mu) for mu in partitions(n))
+        for lam, row in zip(table.classes, table.rows):
+            assert all(type(x) is int for x in row)
+            assert row == tuple(irreducible_character(lam)(mu) for mu in partitions(n))
+    assert character_table(6) is character_table(6)
+
+
+def test_decompose_matches_inner_products():
+    for n in range(2, 11, 2):
+        for space in SPACES:
+            chi = character_of_action(n, space)
+            want = {}
+            for lam in partitions(n):
+                mult = inner_product(chi, irreducible_character(lam))
+                assert mult.denominator == 1 and mult >= 0
+                if mult:
+                    want[lam] = int(mult)
+            assert decompose(chi) == want, (n, space)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=8).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(min_value=0, max_value=5),
+                                             min_size=len(partitions(n)),
+                                             max_size=len(partitions(n))))))
+def test_decompose_recovers_combinations(case):
+    n, coeffs = case
+    values = {mu: sum(c * mn_character(lam, mu) for lam, c in zip(partitions(n), coeffs))
+              for mu in partitions(n)}
+    chi = ClassFunction(n, values)
+    assert decompose(chi) == {lam: c for lam, c in zip(partitions(n), coeffs) if c}
+    # one more at the identity adds dim(lambda)/n! to every multiplicity
+    bumped = dict(values)
+    bumped[(1,) * n] += 1
+    with pytest.raises(ValueError, match="not a non-negative integer"):
+        decompose(ClassFunction(n, bumped))
+    # minus the trivial character makes a negative multiplicity when it had none
+    if coeffs[-1] == 0:
+        lowered = {mu: v - 1 for mu, v in values.items()}
+        with pytest.raises(ValueError, match="not a non-negative integer"):
+            decompose(ClassFunction(n, lowered))
 
 
 def test_v_character():
@@ -232,6 +284,33 @@ def test_gr_dims():
         gr_dim(8, (2, 2, 2, 2))
     with pytest.raises(ValueError):
         gr_dim(6, (3, 3))
+
+
+def _reference_span(n, parts):
+    """Span of every degree-3 monomial with a component partition in parts,
+    one ``SymElement`` at a time."""
+    span = IncrementalSpan(len(sym_basis(n, 3)))
+    for mono in itertools.combinations_with_replacement(enumerate_matchings(n), 3):
+        if component_partition_of_monomial(n, mono) in parts:
+            span.add(coords_vector(SymElement.monomial(n, mono)))
+    return span
+
+
+def test_filtration_matches_the_monomial_reference():
+    for n in (4, 6):
+        for p in even_partitions(n):
+            below = {q for q in even_partitions(n) if refines(q, p)}
+            want_f = _reference_span(n, below).dim
+            want_gr = want_f - _reference_span(n, below - {p}).dim
+            assert filtration_dim(n, p) == want_f, p
+            assert gr_dim(n, p) == want_gr, p
+            # each group alone, such as (6), which spans all of Sym^3 V_6
+            assert filtration_span(n, [p]).dim == _reference_span(n, {p}).dim, p
+
+
+def test_monomial_vector_is_coords_vector():
+    for mono in itertools.combinations_with_replacement(enumerate_matchings(6), 3):
+        assert monomial_vector(6, mono) == coords_vector(SymElement.monomial(6, mono))
 
 
 def _is_benzene_union(n, mono):
@@ -358,7 +437,7 @@ def test_certificate_tries_no_permutation(monkeypatch):
             orbit_span_check(SymElement.monomial(n, (m, m)))
 
 
-def test_degree_three_takes_the_scan(monkeypatch):
+def test_degree_three_grows_the_closure(monkeypatch):
     calls = []
 
     def counted(sigma, e):
@@ -366,8 +445,48 @@ def test_degree_three_takes_the_scan(monkeypatch):
         return act_sym(sigma, e)
 
     monkeypatch.setattr(symmetry_rep, "act_sym", counted)
+    # the Segre cubic spans I3_6 alone, so no image is needed
     assert orbit_span_check(segre_cubic()) == (1, True)
-    assert len(calls) == 1
+    assert not calls
+    # two images per dimension, each under one of the two generators
+    assert orbit_span_check(segre8()) == (21, False)
+    assert len(calls) == 2 * 21
+    assert {tuple(sigma.values()) for sigma in calls} == {
+        (2, 1, 3, 4, 5, 6, 7, 8), (2, 3, 4, 5, 6, 7, 8, 1)}
+
+
+def _full_scan_rank(rel, perms):
+    span = IncrementalSpan(len(sym_basis(rel.n, rel.degree)))
+    for sigma in perms:
+        span.add(coords_vector(act_sym(sigma, rel)))
+    return span.dim
+
+
+def test_closure_equals_the_full_scan():
+    # no target: the closure runs until a pass adds nothing
+    rel = segre_cubic()
+    assert orbit_closure(rel, len(sym_basis(6, 3))).dim == \
+        _full_scan_rank(rel, all_perms(6)) == 1
+    v8 = _simplest(8)
+    assert orbit_closure(v8, len(sym_basis(8, 2))).dim == \
+        _scan_rank(v8, all_perms(8)) == 14
+
+
+def test_segre8_orbit_closure():
+    rel = segre8()
+    target = ideal_component_dim(8, 3)
+    start = time.perf_counter()
+    assert orbit_span_check(rel) == (21, False)
+    assert time.perf_counter() - start < 1.0
+    assert target == 196
+    # the closed span holds the orbit: seeded random images lie in it
+    span = orbit_closure(rel, target)
+    rng = random.Random(0)
+    labels = list(range(1, 9))
+    for _ in range(200):
+        image = labels[:]
+        rng.shuffle(image)
+        assert span.contains(coords_vector(act_sym(dict(zip(labels, image)), rel)))
 
 
 def test_zero_in_coordinates_does_not_certify(monkeypatch):
