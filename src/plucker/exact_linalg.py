@@ -7,9 +7,11 @@ entries by that rule, so an integer matrix is eliminated without building a
 single ``Fraction``; ``rref``, ``kernel_basis`` and ``matvec`` still return
 ``Fraction`` values.  A vector is a dict ``{col: value}`` that never stores a
 zero: ``matvec``, ``kernel_basis``, ``rref`` and ``IncrementalSpan`` all take
-or return this one format, and no dense list is built.  All elimination goes
-through one row-major, fraction-free kernel, the pivot rows of an
-``IncrementalSpan``:
+or return this one format, and no dense list is built.  ``QMatrix`` keeps
+one such dict per row, and ``entries`` is a read-only ``{(row, col): value}``
+view over them, so the batch path reads the rows with no copy and no
+``(row, col)`` key is stored.  All elimination goes through one row-major,
+fraction-free kernel, the pivot rows of an ``IncrementalSpan``:
 
 - Rows are primitive integer rows: denominators cleared, content divided out.
 - Pivot rows are kept in insertion order, keyed by pivot column, and each one
@@ -37,6 +39,7 @@ the dimension of a span and membership in it are ``IncrementalSpan.dim`` and
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -50,12 +53,32 @@ def exact(value) -> int | Fraction:
     return value.numerator if value.denominator == 1 else value
 
 
+class _Entries(Mapping):
+    """Read-only view ``{(row, col): value}`` over a matrix's row dicts."""
+
+    def __init__(self, rows: list[dict[int, int | Fraction]]):
+        self._rows = rows
+
+    def __getitem__(self, key: tuple[int, int]) -> int | Fraction:
+        r, c = key
+        if 0 <= r < len(self._rows) and c in self._rows[r]:
+            return self._rows[r][c]
+        raise KeyError(key)
+
+    def __iter__(self):
+        return ((r, c) for r, row in enumerate(self._rows) for c in row)
+
+    def __len__(self) -> int:
+        return sum(map(len, self._rows))
+
+
 class QMatrix:
-    """Immutable sparse matrix over Q.
+    """Immutable sparse matrix over Q, one dict ``{col: value}`` per row.
 
     Build with ``QMatrix(rows, cols)`` + ``set`` calls, then ``freeze()``.
     Zero entries are never stored; an integral entry is stored as an ``int``
-    and any other as a ``Fraction`` (``exact``).  ``matvec`` builds a column
+    and any other as a ``Fraction`` (``exact``).  ``entries`` is a read-only
+    ``{(row, col): value}`` view of the rows.  ``matvec`` builds a column
     index on its first call on a frozen matrix and keeps it; a matrix that is
     never multiplied never pays for one.
     """
@@ -65,7 +88,8 @@ class QMatrix:
             raise ValueError(f"negative matrix shape {rows}x{cols}")
         self.rows = rows
         self.cols = cols
-        self.entries: dict[tuple[int, int], int | Fraction] = {}
+        self._rows: list[dict[int, int | Fraction]] = [{} for _ in range(rows)]
+        self.entries: Mapping[tuple[int, int], int | Fraction] = _Entries(self._rows)
         self._frozen = False
         self._by_col: dict[int, list[tuple[int, int | Fraction]]] | None = None
 
@@ -76,16 +100,16 @@ class QMatrix:
             raise ValueError(f"entry ({r}, {c}) outside a {self.rows}x{self.cols} matrix")
         value = exact(value)
         if value:
-            self.entries[(r, c)] = value
+            self._rows[r][c] = value
         else:
-            self.entries.pop((r, c), None)
+            self._rows[r].pop(c, None)
 
     def freeze(self) -> "QMatrix":
         self._frozen = True
         return self
 
     def _columns(self) -> dict[int, list[tuple[int, int | Fraction]]]:
-        """The entries as ``{col: [(row, value)]}``.
+        """The rows as ``{col: [(row, value)]}``.
 
         Built on the first call once frozen and kept; a matrix that is still
         being built gets a fresh index every call.
@@ -93,17 +117,12 @@ class QMatrix:
         if self._by_col is not None:
             return self._by_col
         index: dict[int, list[tuple[int, int | Fraction]]] = {}
-        for (r, c), v in self.entries.items():
-            index.setdefault(c, []).append((r, v))
+        for r, row in enumerate(self._rows):
+            for c, v in row.items():
+                index.setdefault(c, []).append((r, v))
         if self._frozen:
             self._by_col = index
         return index
-
-    def row_dicts(self) -> list[dict[int, int | Fraction]]:
-        out: list[dict[int, int | Fraction]] = [dict() for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
 
     def __repr__(self):
         return f"QMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
@@ -233,7 +252,7 @@ def _row_space(m: QMatrix) -> IncrementalSpan:
     """Row space of a matrix, each pivot on the column fewest pivot rows touch."""
     span = IncrementalSpan(m.cols)
     uses: dict[int, int] = {}  # column -> pivot rows nonzero there
-    for row in m.row_dicts():
+    for row in m._rows:  # primitive_row copies it, so the matrix is unchanged
         row = span._reduce(primitive_row(row))
         if row:
             span._keep(min(row, key=lambda c: (uses.get(c, 0), c)), row)
@@ -260,13 +279,9 @@ def rref(m: QMatrix):
     reduced = IncrementalSpan(m.cols)
     for col, row in reversed(_row_space(m).pivots.items()):
         reduced._keep(col, reduced._reduce(row))
-    pivot_cols = sorted(reduced.pivots)
-    rows = []
-    for col in pivot_cols:
-        row = reduced.pivots[col]
-        p = row[col]
-        rows.append({c: Fraction(v, p) for c, v in row.items()})
-    return rows, pivot_cols
+    pivots = sorted(reduced.pivots.items())
+    rows = [{c: Fraction(v, row[col]) for c, v in row.items()} for col, row in pivots]
+    return rows, [col for col, _ in pivots]
 
 
 def kernel_basis(m: QMatrix) -> list[dict[int, Fraction]]:

@@ -11,6 +11,7 @@ always picking the lexicographically smallest crossing pair.  Expansions of
 single graphs, and of every intermediate graph met on the way, are memoized
 in a process-wide in-process dict keyed by the canonical graph alone: the
 expansion of a graph does not depend on n, which only names the label set.
+Rewrites take new edges from one shared table, so memo keys share edge tuples.
 ``degree_trace`` gives the dimensions and characters of the graded pieces
 without building them.
 
@@ -50,11 +51,13 @@ class StraightenCache:
 
     def __init__(self):
         self.memo: dict[GraphKey, dict[GraphKey, int]] = {}
+        self.edges: dict[tuple[int, int], tuple[int, int]] = {}  # shared by memo keys
         self.hits = 0
         self.misses = 0
 
     def clear(self) -> None:
         self.memo.clear()
+        self.edges.clear()
         self.hits = 0
         self.misses = 0
 
@@ -89,19 +92,21 @@ def first_crossing_pair(edges: GraphKey):
     return None
 
 
-def _plucker_children(edges: GraphKey, i: int, j: int) -> tuple[GraphKey, GraphKey]:
+def _plucker_children(edges: GraphKey, i: int, j: int,
+                      shared: dict) -> tuple[GraphKey, GraphKey]:
     """Rewrite a crossing canonical pair; children stay canonical, signs +1.
 
     ``edges[i] = (a, b)`` and ``edges[j] = (c, d)`` with i < j must cross, so
     a < c < b < d: the edges are sorted, which gives a <= c, and a crossing
     pair has a < c.  Both replacement pairs are then min->max and
-    non-crossing.
+    non-crossing.  The new edges come from ``shared``, added on first use.
     """
     rest = edges[:i] + edges[i + 1:j] + edges[j + 1:]
     a, b = edges[i]
     c, d = edges[j]
-    g1 = tuple(sorted(rest + ((a, d), (c, b))))
-    g2 = tuple(sorted(rest + ((a, c), (b, d))))
+    ad, cb, ac, bd = (a, d), (c, b), (a, c), (b, d)
+    g1 = tuple(sorted(rest + (shared.setdefault(ad, ad), shared.setdefault(cb, cb))))
+    g2 = tuple(sorted(rest + (shared.setdefault(ac, ac), shared.setdefault(bd, bd))))
     return g1, g2
 
 
@@ -119,14 +124,13 @@ def straighten_graph(n: int, key: GraphKey) -> dict[GraphKey, int]:
     GLOBAL_CACHE.misses += 1
     fuel = STRAIGHTEN_FUEL
     stack = [key]
-    children: dict[GraphKey, tuple[GraphKey, GraphKey] | None] = {}
+    children: dict[GraphKey, tuple[GraphKey, GraphKey]] = {}
     while stack:
         g = stack[-1]
         if g in memo:
             stack.pop()
             continue
-        pair = children.get(g)
-        if pair is None and g not in children:
+        if g not in children:
             found = first_crossing_pair(g)
             if found is None:
                 memo[g] = {g: 1}
@@ -136,8 +140,7 @@ def straighten_graph(n: int, key: GraphKey) -> dict[GraphKey, int]:
             if fuel <= 0:
                 raise FuelExhausted(
                     f"straightening exceeded {STRAIGHTEN_FUEL} rewrites on n={n}")
-            pair = _plucker_children(g, *found)
-            children[g] = pair
+            children[g] = _plucker_children(g, *found, GLOBAL_CACHE.edges)
         g1, g2 = children[g]
         pending = [c for c in (g1, g2) if c not in memo]
         if pending:

@@ -88,7 +88,8 @@ class SymElement:
         return not self.terms
 
     def __add__(self, other: "SymElement") -> "SymElement":
-        assert (self.n, self.degree) == (other.n, other.degree)
+        if (self.n, self.degree) != (other.n, other.degree):
+            raise ValueError(f"(n, degree) {self.n, self.degree} != {other.n, other.degree}")
         return SymElement.from_terms(
             self.n, self.degree,
             list(self.terms.items()) + list(other.terms.items()))

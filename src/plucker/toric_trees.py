@@ -146,8 +146,8 @@ class TreeWeighting:
     weights: tuple[int, ...]
 
     def __post_init__(self):
-        assert len(self.weights) == len(self.tree.edges)
-        assert all(w >= 0 for w in self.weights)
+        if len(self.weights) != len(self.tree.edges) or min(self.weights, default=0) < 0:
+            raise ValueError(f"need {len(self.tree.edges)} weights >= 0, got {self.weights}")
 
     def weight_triple(self, trinode: int) -> tuple[int, int, int]:
         return tuple(self.weights[idx] for idx, _ in self.tree.adj[trinode])
@@ -310,7 +310,8 @@ def toric_plucker_applicable(tree: TrivalentTree, a: int, b: int, c: int, d: int
     (vertex intersection; in a trivalent tree two meeting leaf geodesics
     always share an edge anyway).
     """
-    assert len({a, b, c, d}) == 4, "leaves must be distinct"
+    if len({a, b, c, d}) != 4:
+        raise ValueError(f"leaves must be distinct, got {a}, {b}, {c}, {d}")
     pab = set(tree.leaf_path(a, b)[0])
     pcd = set(tree.leaf_path(c, d)[0])
     if not pab & pcd:

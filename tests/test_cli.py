@@ -152,6 +152,11 @@ BAD_DIRECT_CALLS = [
     "balance_triples([(0, 3, 0), (2, 1, 2)])",
     "CatWeighting(4, (1, 1, 1, 1), (1,)).local_triple(1)",
     "CatWeighting(4, (1, 1, 1, 1), (1,)).local_triple(4)",
+    "SymElement.zero(4, 2) + SymElement.zero(6, 2)",
+    "SymElement.zero(6, 2) + SymElement.zero(6, 3)",
+    "TreeWeighting(build_y_tree(3), (0,) * 8)",
+    "TreeWeighting(build_y_tree(3), (1,) * 8 + (-1,))",
+    "toric_plucker_applicable(build_y_tree(4), 1, 1, 2, 3)",
 ]
 
 # Runs each argv of BAD_USER_INPUTS (the "argv" list of the JSON on stdin)
@@ -162,6 +167,8 @@ _RUN_ALL_MAIN = """
 import contextlib, io, json, sys, traceback
 from plucker.cli import main
 from plucker.invariant_ring import PointConfig, RingElement
+from plucker.relations import SymElement
+from plucker.toric_trees import TreeWeighting, build_y_tree, toric_plucker_applicable
 from plucker.toric_rewriting import (
     CatWeighting, balance, balance_triples, sum_weighting, toric_segre_move, type_vector)
 payload = json.load(sys.stdin)

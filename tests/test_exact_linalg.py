@@ -15,6 +15,7 @@ from plucker.exact_linalg import (
     rank,
     rref,
 )
+from plucker.relations import ideal_component_dim, relation_matrix
 
 
 def sparse(row):
@@ -152,6 +153,11 @@ def test_frozen_matrix_rejects_writes():
     m.freeze()
     with pytest.raises(ValueError):
         m.set(0, 0, 1)
+    m = from_rows([[1, 0], [0, 2]])
+    for r, c, v in ((0, 0, 5), (0, 1, 3), (1, 1, 0)):
+        with pytest.raises(ValueError, match="frozen"):
+            m.set(r, c, v)
+    assert m.entries == {(0, 0): 1, (1, 1): 2}
 
 
 # --- property tests against a plain Fraction Gauss-Jordan elimination ---------
@@ -318,3 +324,57 @@ def test_int_and_fraction_routes_agree(case):
         for row in route:
             span.add({c: v for c, v in enumerate(row) if v})
     assert spans[0].pivots == spans[1].pivots == spans[2].pivots
+
+
+# --- the row store and its entries view ----------------------------------------
+
+def test_entries_view_over_the_rows():
+    m = QMatrix(3, 4)
+    m.set(2, 3, 7)
+    m.set(0, 1, Fraction(1, 2))
+    m.set(0, 0, -1)
+    m.set(1, 2, 4)
+    m.set(1, 2, 0)  # a write of zero removes the entry
+    entries = m.entries
+    assert len(entries) == 3 and len(QMatrix(5, 5).entries) == 0
+    assert entries == {(0, 1): Fraction(1, 2), (0, 0): -1, (2, 3): 7}
+    assert entries != {(0, 1): Fraction(1, 2), (0, 0): -1}
+    assert entries[(2, 3)] == 7 and entries[(0, 1)] == Fraction(1, 2)
+    assert sorted(entries.values()) == [-1, Fraction(1, 2), 7]
+    assert list(entries) == [(0, 1), (0, 0), (2, 3)]  # by row, then by first write
+    for missing in ((1, 2), (0, 3), (3, 0), (-1, 3), (0, -1)):
+        assert missing not in entries and entries.get(missing) is None
+        with pytest.raises(KeyError):
+            entries[missing]
+    m.set(1, 0, 9)  # the view follows later writes
+    assert len(entries) == 4 and entries[(1, 0)] == 9
+    with pytest.raises(TypeError):
+        entries[(0, 0)] = 1
+    assert repr(m) == "QMatrix(3x4, nnz=4)"
+
+
+def _snapshot(m):
+    return [(r, c, v, type(v)) for (r, c), v in m.entries.items()]
+
+
+@properties
+@given(matrices())
+def test_batch_calls_leave_a_frozen_matrix_unchanged(case):
+    cols, rows = case
+    m = from_rows(rows, cols)
+    before = _snapshot(m)
+    rank(m)
+    rref(m)
+    kernel_basis(m)
+    matvec(m, {c: 1 for c in range(cols)})
+    assert _snapshot(m) == before
+    assert m.entries == {(i, j): Fraction(v) for i, row in enumerate(rows)
+                         for j, v in enumerate(row) if v}
+
+
+def test_shared_relation_matrix_keeps_its_rows():
+    # relation_matrix is cached, so every caller eliminates the same matrix
+    m = relation_matrix(8, 2)
+    before = _snapshot(m)
+    assert ideal_component_dim(8, 2) == m.cols - rank(m) == len(kernel_basis(m))
+    assert _snapshot(m) == before and relation_matrix(8, 2) is m

@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import plucker.invariant_ring as ir
@@ -25,7 +25,7 @@ from plucker.invariant_ring import (
     straighten_graph,
     x_of,
 )
-from plucker.relations import kempe_factor, project_to_ring
+from plucker.relations import kempe_factor, project_to_ring, relation_matrix
 from plucker.symmetry_rep import partitions
 from plucker.toric_trees import build_y_tree, count_admissible_regular
 from support import crossing, multiply, y_of
@@ -245,6 +245,50 @@ def canonical_multigraphs(draw):
 @given(canonical_multigraphs())
 def test_first_crossing_pair_agrees_with_all_pairs(edges):
     assert first_crossing_pair(edges) == _first_crossing_pair_oracle(edges)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(canonical_multigraphs(), st.data())
+def test_plucker_children_share_their_new_edges(edges, data):
+    pairs = [(i, j) for i, j in itertools.combinations(range(len(edges)), 2)
+             if edges[i][0] < edges[j][0] < edges[i][1] < edges[j][1]]
+    assume(pairs)
+    i, j = data.draw(st.sampled_from(pairs))
+    # the plain construction, with fresh edge tuples
+    (a, b), (c, d) = edges[i], edges[j]
+    rest = edges[:i] + edges[i + 1:j] + edges[j + 1:]
+    plain = (tuple(sorted(rest + ((a, d), (c, b)))),
+             tuple(sorted(rest + ((a, c), (b, d)))))
+    shared = {}
+    first = ir._plucker_children(edges, i, j, shared)
+    assert first == plain
+    assert set(shared) == {(a, d), (c, b), (a, c), (b, d)}
+    assert all(e is shared[e] for e in shared)
+    # a copy of the graph, made of new tuples, gets children of the same objects
+    again = ir._plucker_children(tuple(tuple(e) for e in edges), i, j, shared)
+    assert again == plain and len(shared) == 4
+    for g1, g2 in zip(first, again):
+        new = [e for e in g1 if e in shared and e not in rest]
+        assert all(any(x is y for y in g2) for x in new)
+        assert all(shared[e] is e for e in new)
+
+
+def test_shared_edges_leave_the_memo_unchanged():
+    # the cache counts of relation_matrix(10, 2) from a cleared cache, which
+    # sharing edge tuples must not move
+    ir.GLOBAL_CACHE.clear()
+    relation_matrix.cache_clear()
+    try:
+        m = relation_matrix(10, 2)
+        assert ir.GLOBAL_CACHE.stats() == {"hits": 190, "misses": 713, "entries": 2014}
+        assert len(m.entries) == 3028
+        shared = ir.GLOBAL_CACHE.edges
+        assert shared and all(shared[e] is e for e in shared)
+        assert all(e[0] < e[1] <= 10 for e in shared)
+    finally:
+        relation_matrix.cache_clear()
+        ir.GLOBAL_CACHE.clear()
+    assert not ir.GLOBAL_CACHE.edges
 
 
 def test_noncrossing_family_is_a_basis_of_functions():

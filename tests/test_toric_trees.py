@@ -280,8 +280,15 @@ def test_toric_plucker_applicable():
     assert not toric_plucker_applicable(y4, 1, 2, 7, 8)
     cat = build_caterpillar(6)
     assert not toric_plucker_applicable(cat, 1, 2, 5, 6)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="distinct"):
         toric_plucker_applicable(y4, 1, 1, 2, 3)
+
+
+def test_tree_weighting_refuses_bad_weights():
+    y3 = build_y_tree(3)
+    for weights in ((0,) * (len(y3.edges) - 1), (1,) * (len(y3.edges) - 1) + (-1,)):
+        with pytest.raises(ValueError, match="weights >= 0"):
+            TreeWeighting(y3, weights)
 
 
 def test_toric_plucker_level_identities():
