@@ -10,10 +10,13 @@ that applies the convention (``_y_product``); ``invariant_ring`` sees only
 X-graphs.  Kempe factorization writes a regular X-graph back as a
 combination of Y-monomials.
 
-The relation ideal in a fixed degree is computed as the kernel of the
-projection onto the invariant ring, written as an exact integer matrix over
-the monomial basis (multisets of non-crossing matchings) and the non-crossing
-graph basis.  Orbit spans of a relation are in ``symmetry_rep``.
+Coordinates in Sym^k(V) are taken by integer matching ids (a matching's
+position in ``noncrossing_matchings``): Y of a matching is cached as
+``{id: coeff}``, and one table per (n, k) turns sorted ids into a column of
+``sym_basis``, the monomial basis of multisets of non-crossing matchings.
+The relation ideal in a fixed degree is the kernel of the projection onto
+the invariant ring, an exact integer matrix over that basis and the
+non-crossing graph basis.  Orbit spans of a relation are in ``symmetry_rep``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 
 from . import exact_linalg
 from .graph_core import (
@@ -47,10 +50,16 @@ Monomial = tuple[GraphKey, ...]  # sorted multiset of matchings
 
 
 @lru_cache(maxsize=None)
-def matching_in_y_basis(n: int, mkey: GraphKey) -> dict[GraphKey, int]:
-    """Expand Y of a matching in the non-crossing Y-basis (integer coeffs)."""
-    eps = orientation_sign(mkey)
-    return {g: eps * c * orientation_sign(g)
+def matching_ids(n: int) -> dict[GraphKey, int]:
+    """Non-crossing matching -> id, its position in ``noncrossing_matchings``."""
+    return {m: i for i, m in enumerate(noncrossing_matchings(n))}
+
+
+@lru_cache(maxsize=None)
+def y_expansion(n: int, mkey: GraphKey) -> dict[int, int]:
+    """Y of a matching in the non-crossing Y-basis, ``{matching id: coeff}``."""
+    eps, ids = orientation_sign(mkey), matching_ids(n)
+    return {ids[g]: eps * c * orientation_sign(g)
             for g, c in straighten_graph(n, mkey).items()}
 
 
@@ -168,32 +177,17 @@ def evaluate_sym(e: SymElement, config) -> Fraction:
     return evaluate(_product_graphs(e), config)
 
 
-def to_coords(e: SymElement) -> dict[Monomial, int | Fraction]:
-    """Coordinates in the Sym^k basis of multisets of non-crossing matchings.
-
-    The expansions have integer coefficients, so each term's products are
-    summed as integers over the common denominator of the input's
-    coefficients.  By the number rule of ``exact_linalg``, the entries are
-    ``int`` when that denominator is 1 and ``Fraction`` otherwise.
-    """
-    denom = lcm(*(c.denominator for c in e.terms.values()))
-    acc: dict[Monomial, int] = {}
-    for mono, coeff in e.terms.items():
-        _expand_monomial(e.n, mono, coeff.numerator * (denom // coeff.denominator), acc)
-    if denom == 1:
-        return {k: v for k, v in acc.items() if v}
-    return {k: Fraction(v, denom) for k, v in acc.items() if v}
-
-
-def _expand_monomial(n: int, mono, num: int, acc: dict[Monomial, int]) -> None:
-    """Add ``num`` times the product of the layers' Y-basis expansions to ``acc``."""
-    expansions = [matching_in_y_basis(n, m).items() for m in mono]
-    for combo in itertools.product(*expansions):
-        key = tuple(sorted(g for g, _ in combo))
-        c = num
-        for _, a in combo:
-            c *= a
-        acc[key] = acc.get(key, 0) + c
+def _expand_monomial(n: int, mono, num: int, acc: dict[int, int]) -> None:
+    """Add ``num`` times the product of the layers' Y-basis expansions to ``acc``,
+    by column; the longest expansion's columns are read off ``_column_table``."""
+    *head, last = sorted((y_expansion(n, m).items() for m in mono), key=len)
+    table = _column_table(n, len(mono))
+    for combo in itertools.product(*head):
+        c = num * prod(a for _, a in combo)
+        columns = table[tuple(sorted(i for i, _ in combo))]
+        for j, a in last:
+            col = columns[j]
+            acc[col] = acc.get(col, 0) + c * a
 
 
 def monomial_vector(n: int, mono) -> dict[int, int]:
@@ -202,10 +196,9 @@ def monomial_vector(n: int, mono) -> dict[int, int]:
     The same as ``coords_vector(SymElement.monomial(n, mono))`` for a monomial
     of perfect matchings in canonical form, without building the element.
     """
-    acc: dict[Monomial, int] = {}
+    acc: dict[int, int] = {}
     _expand_monomial(n, mono, 1, acc)
-    index = _basis_index(n, len(mono))
-    return {index[key]: c for key, c in acc.items() if c}
+    return {col: c for col, c in acc.items() if c}
 
 
 @lru_cache(maxsize=None)
@@ -215,14 +208,31 @@ def sym_basis(n: int, k: int) -> tuple[Monomial, ...]:
 
 
 def coords_vector(e: SymElement) -> dict[int, int | Fraction]:
-    """``to_coords`` keyed by column of ``sym_basis(e.n, e.degree)``."""
-    index = _basis_index(e.n, e.degree)
-    return {index[key]: c for key, c in to_coords(e).items()}
+    """Coordinates in Sym^k(V), keyed by column of ``sym_basis(e.n, e.degree)``.
+
+    Each term's products are summed as integers over the common denominator
+    of the coefficients; by the number rule of ``exact_linalg``, the entries
+    are ``int`` when that denominator is 1 and ``Fraction`` otherwise.
+    """
+    denom = lcm(*(c.denominator for c in e.terms.values()))
+    acc: dict[int, int] = {}
+    for mono, coeff in e.terms.items():
+        _expand_monomial(e.n, mono, coeff.numerator * (denom // coeff.denominator), acc)
+    if denom == 1:
+        return {col: v for col, v in acc.items() if v}
+    return {col: Fraction(v, denom) for col, v in acc.items() if v}
 
 
 @lru_cache(maxsize=None)
-def _basis_index(n: int, k: int) -> dict[Monomial, int]:
-    return {m: i for i, m in enumerate(sym_basis(n, k))}
+def _column_table(n: int, k: int) -> dict[tuple[int, ...], list[int]]:
+    """``table[p][j]``: the ``sym_basis(n, k)`` column of the ids p (sorted) plus j,
+    for any id j; N * C(N + k - 2, k - 1) entries for N matchings."""
+    size = len(noncrossing_matchings(n))
+    table: dict[tuple[int, ...], list[int]] = {}
+    for col, ids in enumerate(itertools.combinations_with_replacement(range(size), k)):
+        for i in range(k):
+            table.setdefault(ids[:i] + ids[i + 1:], [0] * size)[ids[i]] = col
+    return table
 
 
 def component_partition_of_monomial(n: int, mono: Monomial):
@@ -779,13 +789,12 @@ def _quadratic_ideal_span(n: int):
     if n > 8:
         raise ValueError("feasibility guard: n <= 8")
     quads = [exact_linalg.primitive_row(q) for q in ideal_kernel_basis(n, 2)]
-    basis2 = sym_basis(n, 2)
-    index3 = _basis_index(n, 3)
+    ids, table = matching_ids(n), _column_table(n, 3)
+    times = [table[ids[a], ids[b]] for a, b in sym_basis(n, 2)]
     # multiplying by v maps distinct quadratic monomials to distinct cubic
     # ones, so each product has exactly the nonzeros of q
-    vectors = [{index3[tuple(sorted(basis2[j] + (v,)))]: c
-                for j, c in q.items()}
-               for v in noncrossing_matchings(n) for q in quads]
+    vectors = [{times[j][v]: c for j, c in q.items()}
+               for v in range(len(ids)) for q in quads]
     span = exact_linalg.IncrementalSpan(len(sym_basis(n, 3)))
     for vec in vectors:
         span.add(vec)

@@ -1,6 +1,6 @@
 """Functions that only the tests use: oracles, Y of a matching, the truncation
-map and the stalk and base edges it reads, the permutations of S_n and the
-character inner product.
+map and the stalk and base edges it reads, the permutations of S_n, the
+character inner product and Sym^k coordinates keyed by monomial.
 
 None of these is on a path the program runs, so they live beside the tests
 rather than in ``plucker``.
@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from plucker.graph_core import matching_key, orientation_sign
-from plucker.invariant_ring import RingElement
+from plucker.invariant_ring import RingElement, straighten_graph
+from plucker.relations import SymElement
 from plucker.symmetry_rep import ClassFunction, class_size, mn_character, partitions
 from plucker.toric_rewriting import CatWeighting
 from plucker.toric_trees import TrivalentTree, TreeWeighting, build_y_tree
@@ -23,6 +24,37 @@ def y_of(n: int, pairs) -> RingElement:
     """Y of an undirected matching: eps(min->max direction) times its X."""
     key = matching_key(pairs)
     return RingElement(n, {key: Fraction(orientation_sign(key))})
+
+
+def matching_in_y_basis(n: int, mkey) -> dict:
+    """Y of a matching in the non-crossing Y-basis, keyed by matching."""
+    eps = orientation_sign(mkey)
+    return {g: eps * c * orientation_sign(g)
+            for g, c in straighten_graph(n, mkey).items()}
+
+
+def to_coords(e: SymElement) -> dict:
+    """Sym^k coordinates keyed by sorted monomial: the oracle for ``coords_vector``.
+
+    Every product of the layers' Y-basis expansions is sorted into its
+    monomial and summed as an integer over the common denominator of the
+    coefficients; the entries are ``int`` when that denominator is 1 and
+    ``Fraction`` otherwise.
+    """
+    denom = lcm(*(c.denominator for c in e.terms.values()))
+    acc: dict = {}
+    for mono, coeff in e.terms.items():
+        num = coeff.numerator * (denom // coeff.denominator)
+        for combo in itertools.product(*(matching_in_y_basis(e.n, m).items()
+                                         for m in mono)):
+            key = tuple(sorted(g for g, _ in combo))
+            c = num
+            for _, a in combo:
+                c *= a
+            acc[key] = acc.get(key, 0) + c
+    if denom == 1:
+        return {k: v for k, v in acc.items() if v}
+    return {k: Fraction(v, denom) for k, v in acc.items() if v}
 
 
 def all_perms(n: int):

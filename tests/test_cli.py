@@ -6,7 +6,7 @@ import sys
 import jsonschema
 
 import plucker
-from plucker.cli import EXIT_CRITERION_FAILED, EXIT_FUEL, EXIT_PARSE, main
+from plucker.cli import EXIT_CRITERION_FAILED, EXIT_FUEL, EXIT_PARSE, ROUND_TRIP_WEIGHTINGS, main
 from plucker.invariant_ring import hilbert_dim
 
 # The JSON contract of the CLI: every --json payload names its command, and
@@ -290,6 +290,14 @@ def test_toric_count_on_a_deep_tree(capsys):
     code, out, err = run(capsys, "toric", "count", "--r", "1100", "--degree", "1")
     assert (code, err) == (0, "")
     assert int(out) == hilbert_dim(2200, 1)
+
+
+def test_toric_round_trip_over_the_budget_exits_2(capsys):
+    # counted by the DP before enumerating: the r = 1100 tree is too deep for
+    # the enumeration's recursion, and its weightings too many to visit
+    code, _, err = run(capsys, "toric", "round-trip", "--r", "1100", "--degree", "1")
+    assert code == 2 and "Traceback" not in err
+    assert str(hilbert_dim(2200, 1)) in err and str(ROUND_TRIP_WEIGHTINGS) in err
 
 
 def test_normal_form_command(capsys):

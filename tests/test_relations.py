@@ -2,8 +2,11 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plucker.exact_linalg import IncrementalSpan, matvec
 from plucker.figures import (
@@ -18,6 +21,7 @@ from plucker.relations import (
     GenSegreDatum,
     SquareRotationDatum,
     SymElement,
+    _column_table,
     coords_vector,
     count_good_bipartitions,
     evaluate_sym,
@@ -25,6 +29,8 @@ from plucker.relations import (
     ideal_component_dim,
     ideal_kernel_basis,
     in_quadratic_ideal,
+    matching_ids,
+    monomial_vector,
     outer_product,
     project_to_ring,
     quadratic_ideal_component,
@@ -35,11 +41,10 @@ from plucker.relations import (
     simplest_binomial,
     square_rotation,
     sym_basis,
-    to_coords,
 )
 from plucker.reports import random_config
 from plucker.symmetry_rep import act_ring, act_sym, orbit_span_check
-from support import multiply, y_of
+from support import multiply, to_coords, y_of
 
 
 def test_project_examples():
@@ -461,3 +466,46 @@ def test_to_coords_with_fractional_coefficients():
         for _ in range(3):
             p = random_config(8, rng)
             assert evaluate_sym(rebuilt, p) == evaluate_sym(e, p)
+
+
+@st.composite
+def _sym_elements(draw):
+    """A few terms of k layers, each a perfect matching of 1..n (crossing or
+    not) with its edges in any order and direction, and int or Fraction
+    coefficients."""
+    n = draw(st.sampled_from((4, 6, 8, 10)))
+    k = draw(st.integers(1, 3))
+    coeff = st.one_of(st.integers(-6, 6),
+                      st.fractions(-3, 3, max_denominator=6))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        layers = []
+        for _ in range(k):
+            labels = draw(st.permutations(range(1, n + 1)))
+            layers.append(list(zip(labels[::2], labels[1::2])))
+        terms.append((layers, draw(coeff)))
+    return SymElement.from_terms(n, k, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sym_elements())
+def test_coords_vector_matches_the_monomial_keyed_oracle(e):
+    column = {mono: j for j, mono in enumerate(sym_basis(e.n, e.degree))}
+    want = {column[key]: c for key, c in to_coords(e).items()}
+    got = coords_vector(e)
+    assert got == want
+    # the number rule: the same type per entry, int when the denominator is 1
+    assert {j: type(c) for j, c in got.items()} == {j: type(c) for j, c in want.items()}
+    for mono in e.terms:
+        assert monomial_vector(e.n, mono) == coords_vector(SymElement.monomial(e.n, mono))
+
+
+@pytest.mark.parametrize("n, k", [(6, 1), (6, 3), (8, 2), (8, 3), (10, 2)])
+def test_column_table_follows_sym_basis_order(n, k):
+    ids, table = matching_ids(n), _column_table(n, k)
+    size = len(noncrossing_matchings(n))
+    assert sum(len(row) for row in table.values()) == size * comb(size + k - 2, k - 1)
+    for j, mono in enumerate(sym_basis(n, k)):
+        key = sorted(ids[m] for m in mono)
+        for i in range(k):
+            assert table[tuple(key[:i] + key[i + 1:])][key[i]] == j

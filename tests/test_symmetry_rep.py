@@ -22,7 +22,6 @@ from plucker.relations import (
     component_partition_of_monomial,
     coords_vector,
     ideal_component_dim,
-    matching_in_y_basis,
     monomial_vector,
     project_to_ring,
     segre8,
@@ -52,7 +51,7 @@ from plucker.symmetry_rep import (
     quadratic_ideal_irrep,
     refines,
 )
-from support import all_perms, inner_product, irreducible_character
+from support import all_perms, inner_product, irreducible_character, matching_in_y_basis
 
 
 def test_act_examples():
