@@ -16,7 +16,14 @@ import sys
 import time
 
 from . import reports, symmetry_rep, toric_rewriting, toric_trees
-from .graph_core import graph_to_json, json_edges, json_int, parse_graph, parse_graph_json
+from .graph_core import (
+    graph_to_json,
+    json_edges,
+    json_int,
+    json_list,
+    parse_graph,
+    parse_graph_json,
+)
 from .invariant_ring import (
     FuelExhausted,
     PointConfig,
@@ -62,8 +69,7 @@ def parse_element(text: str) -> RingElement:
     """Accept graph text, graph JSON, or ring-element JSON."""
     text = _read_arg(text).strip()
     if text.startswith("{"):
-        obj = json.loads(text)
-        if "terms" in obj:
+        if "terms" in json.loads(text):
             return RingElement.from_json(text)
         n, edges = parse_graph_json(text)
     else:
@@ -72,10 +78,7 @@ def parse_element(text: str) -> RingElement:
 
 
 def _print(payload: dict, as_json: bool, text: str | None = None) -> None:
-    if as_json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(text if text is not None else json.dumps(payload, sort_keys=True))
+    print(json.dumps(payload, sort_keys=True) if as_json or text is None else text)
 
 
 def cmd_straighten(args) -> int:
@@ -83,11 +86,8 @@ def cmd_straighten(args) -> int:
     result = straighten(e)
     payload = {"command": "straighten", "input": json.loads(e.to_json()),
                "output": json.loads(result.to_json())}
-    if result.is_zero():
-        _print(payload, args.json, "0")
-    else:
-        lines = [f"{c} * X{list(map(list, k))}" for k, c in sorted(result.terms.items())]
-        _print(payload, args.json, "\n".join(lines))
+    lines = [f"{c} * X{list(map(list, k))}" for k, c in sorted(result.terms.items())]
+    _print(payload, args.json, "\n".join(lines) or "0")
     return EXIT_OK
 
 
@@ -150,12 +150,10 @@ def cmd_toric(args) -> int:
 def _parse_cat_tuple(text: str):
     obj = json.loads(_read_arg(text))
     r = json_int(obj["r"], "r")
-    entries = []
-    for ent in obj["entries"]:
-        entries.append(toric_rewriting.CatWeighting(
-            r, tuple(json_int(v, "stalk weight") for v in ent["stalks"]),
-            tuple(json_int(v, "base weight") for v in ent.get("bases", ()))))
-    return tuple(entries)
+    return tuple(toric_rewriting.CatWeighting(
+        r, tuple(json_int(v, "stalk weight") for v in ent["stalks"]),
+        tuple(json_int(v, "base weight") for v in ent.get("bases", ())))
+        for ent in json_list(obj["entries"], "entries"))
 
 
 def cmd_normal_form(args) -> int:

@@ -4,14 +4,14 @@ Everything is over Q with arbitrary-precision arithmetic; no floats anywhere.
 The number rule: an integral value is a Python ``int``, and a ``Fraction``
 appears only where a denominator does (``exact``).  ``QMatrix`` stores its
 entries by that rule, so an integer matrix is eliminated without building a
-single ``Fraction``; ``rref``, ``kernel_basis`` and ``matvec`` still return
-``Fraction`` values.  A vector is a dict ``{col: value}`` that never stores a
-zero: ``matvec``, ``kernel_basis``, ``rref`` and ``IncrementalSpan`` all take
-or return this one format, and no dense list is built.  ``QMatrix`` keeps
-one such dict per row, and ``entries`` is a read-only ``{(row, col): value}``
-view over them, so the batch path reads the rows with no copy and no
-``(row, col)`` key is stored.  All elimination goes through one row-major,
-fraction-free kernel, the pivot rows of an ``IncrementalSpan``:
+single ``Fraction``, and ``kernel_basis`` returns primitive integer vectors.
+A vector is a dict ``{col: value}`` that never stores a zero: ``matvec``,
+``kernel_basis`` and ``IncrementalSpan`` all take or return this one format,
+and no dense list is built.  ``QMatrix`` keeps one such dict per row, and
+``entries`` is a read-only ``{(row, col): value}`` view over them, so the
+batch path reads the rows with no copy and no ``(row, col)`` key is stored.
+All elimination goes through one row-major, fraction-free kernel, the pivot
+rows of an ``IncrementalSpan``:
 
 - Rows are primitive integer rows: denominators cleared, content divided out.
 - Pivot rows are kept in insertion order, keyed by pivot column, and each one
@@ -26,14 +26,14 @@ fraction-free kernel, the pivot rows of an ``IncrementalSpan``:
   - ``IncrementalSpan.add`` takes the largest column of the reduced row.
     Every pivot row is then zero above its pivot column, which keeps the
     fill-in of a long stream of rows, such as an orbit scan, low.
-  - The batch path behind ``rank``, ``rref`` and ``kernel_basis`` takes the
-    column that the fewest pivot rows touch (a Markowitz column count, as in
+  - The batch path behind ``rank`` and ``kernel_basis`` takes the column
+    that the fewest pivot rows touch (a Markowitz column count, as in
     structured Gaussian elimination), ties going to the smallest column.  On
     a whole sparse matrix this is far cheaper than the largest column.
   Both rules are deterministic.
 
-``rank`` and ``rref``/``kernel_basis`` are thin wrappers over the kernel;
-the dimension of a span and membership in it are ``IncrementalSpan.dim`` and
+``rank`` and ``kernel_basis`` are thin wrappers over the kernel; the
+dimension of a span and membership in it are ``IncrementalSpan.dim`` and
 ``IncrementalSpan.contains`` on a span grown with ``add``.
 """
 
@@ -138,19 +138,20 @@ def primitive_row(vector: dict[int, int | Fraction]) -> dict[int, int]:
         row = {c: Fraction(v) for c, v in row.items()}
         denom = lcm(*(v.denominator for v in row.values()))
         row = {c: v.numerator * (denom // v.denominator) for c, v in row.items()}
-    _remove_content(row)
-    return row
+    return _remove_content(row)
 
 
-def _remove_content(row: dict[int, int]) -> None:
+def _remove_content(row: dict[int, int]) -> dict[int, int]:
+    """Divide an integer row by the gcd of its entries, in place; returns it."""
     g = gcd(*row.values())
     if g > 1:
         for c in row:
             row[c] //= g
+    return row
 
 
-def matvec(m: QMatrix, v: dict[int, int | Fraction]) -> dict[int, Fraction]:
-    """m.v for a vector ``{col: value}``, as ``{row: Fraction}`` without zeros.
+def matvec(m: QMatrix, v: dict[int, int | Fraction]) -> dict[int, int | Fraction]:
+    """m.v for a vector ``{col: value}``, as ``{row: value}`` without zeros.
 
     Visits only the columns in the vector's support, through ``QMatrix._columns``.
     """
@@ -159,7 +160,7 @@ def matvec(m: QMatrix, v: dict[int, int | Fraction]) -> dict[int, Fraction]:
     for c, x in v.items():
         for r, val in columns.get(c, ()):
             out[r] = out.get(r, 0) + val * x
-    return {r: Fraction(x) for r, x in out.items() if x}
+    return {r: exact(x) for r, x in out.items() if x}
 
 
 class IncrementalSpan:
@@ -217,8 +218,7 @@ class IncrementalSpan:
                         del row[c]
             if not row:
                 return row
-        _remove_content(row)
-        return row
+        return _remove_content(row)
 
     def _keep(self, col: int, row: dict[int, int]) -> None:
         """Store a reduced row as the pivot row of ``col``.
@@ -266,38 +266,28 @@ def rank(m: QMatrix) -> int:
     return _row_space(m).dim
 
 
-def rref(m: QMatrix):
-    """Reduced row basis; returns (rows as col->Fraction, pivot cols).
+def kernel_basis(m: QMatrix) -> list[dict[int, int]]:
+    """Basis of the right kernel, one primitive integer vector per free column.
 
-    Each row is 1 at its own pivot column and 0 at every other one; rows are
-    sorted by pivot column.  The pivot columns are the kernel's fewest-uses
-    choice, so this is reduced row echelon form up to the order of columns.
     The pivot rows are cleared newest first: once every later pivot row is
     zero at all other pivot columns, reducing an earlier one against them
-    clears it there too.
+    clears it there too.  Row p, with pivot entry d and entry a at a free
+    column f, then puts ``-a*L/d`` at p in the vector of f, which is L at f,
+    L the lcm of the d of the rows touching f; its content is divided out.
+    m.v = 0 exactly, and the vectors come in increasing order of their free
+    column, each positive there.
     """
     reduced = IncrementalSpan(m.cols)
     for col, row in reversed(_row_space(m).pivots.items()):
         reduced._keep(col, reduced._reduce(row))
-    pivots = sorted(reduced.pivots.items())
-    rows = [{c: Fraction(v, row[col]) for c, v in row.items()} for col, row in pivots]
-    return rows, [col for col, _ in pivots]
-
-
-def kernel_basis(m: QMatrix) -> list[dict[int, Fraction]]:
-    """Basis of the right kernel, one ``{col: value}`` per free column.
-
-    Built in one pass over the ``rref`` rows: the vector of free column f
-    starts as ``{f: 1}``, and the row with pivot p puts ``-row[f]`` at p in
-    the vector of every free column f it touches.  The work is the number of
-    nonzeros of the rows; m.v = 0 exactly for every returned v, and the
-    vectors come in increasing order of their free column.
-    """
-    frows, pivot_cols = rref(m)
-    pivot_set = set(pivot_cols)
-    basis = {c: {c: Fraction(1)} for c in range(m.cols) if c not in pivot_set}
-    for row, pc in zip(frows, pivot_cols):
-        for c, v in row.items():
-            if c != pc:
-                basis[c][pc] = -v
-    return list(basis.values())
+    touching = {c: [] for c in range(m.cols) if c not in reduced.pivots}
+    for p, row in reduced.pivots.items():
+        for c, a in row.items():
+            if c != p:
+                touching[c].append((p, row[p], a))
+    basis = []
+    for f, rows in touching.items():
+        scale = lcm(*(d for _, d, _ in rows))
+        vec = {f: scale} | {p: -a * (scale // d) for p, d, a in rows}
+        basis.append(_remove_content(vec))
+    return basis

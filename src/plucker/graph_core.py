@@ -245,6 +245,13 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_list(value, what: str) -> list:
+    """A list read from JSON; ``ValueError`` on an object, string or number."""
+    if type(value) is not list:
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def json_coeff(value) -> Fraction:
     """An exact coefficient read from JSON: a fraction string or an integer."""
     if type(value) is not str and type(value) is not int:
@@ -255,7 +262,8 @@ def json_coeff(value) -> Fraction:
 
 def json_edges(edges) -> list[Edge]:
     """Edges ``[[a, b], ...]`` read from JSON, with integer endpoints."""
-    return [(json_int(a, "edge label"), json_int(b, "edge label")) for a, b in edges]
+    return [(json_int(a, "edge label"), json_int(b, "edge label"))
+            for a, b in json_list(edges, "edges")]
 
 
 def check_labels(n: int, edges) -> None:

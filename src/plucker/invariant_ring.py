@@ -35,6 +35,7 @@ from .graph_core import (
     json_coeff,
     json_edges,
     json_int,
+    json_list,
 )
 
 # One straighten() call may not exceed this many Plucker rewrites; hitting the
@@ -215,7 +216,7 @@ class RingElement:
         obj = json.loads(text)
         n = json_int(obj["n"], "n")
         items = []
-        for t in obj["terms"]:
+        for t in json_list(obj["terms"], "terms"):
             edges = json_edges(t["edges"])
             check_labels(n, edges)
             cf = canonicalize(edges)

@@ -39,6 +39,7 @@ from .graph_core import (
     json_coeff,
     json_edges,
     json_int,
+    json_list,
     matching_key,
     noncrossing_matchings,
     orientation_sign,
@@ -136,8 +137,8 @@ class SymElement:
     def from_json(cls, text: str) -> "SymElement":
         obj = json.loads(text)
         items = []
-        for t in obj["terms"]:
-            mono = tuple(tuple(json_edges(m)) for m in t["monomial"])
+        for t in json_list(obj["terms"], "terms"):
+            mono = tuple(tuple(json_edges(m)) for m in json_list(t["monomial"], "monomial"))
             items.append((mono, json_coeff(t["coeff"])))
         return cls.from_terms(json_int(obj["n"], "n"),
                               json_int(obj["degree"], "degree"), items)
@@ -773,8 +774,8 @@ def ideal_component_dim(n: int, k: int) -> int:
     return m.cols - exact_linalg.rank(m)
 
 
-def ideal_kernel_basis(n: int, k: int) -> list[dict[int, Fraction]]:
-    """Exact basis of I^(k), each vector ``{column of sym_basis: value}``."""
+def ideal_kernel_basis(n: int, k: int) -> list[dict[int, int]]:
+    """Exact basis of I^(k), each a primitive ``{column of sym_basis: int}``."""
     return exact_linalg.kernel_basis(relation_matrix(n, k))
 
 
@@ -782,13 +783,13 @@ def ideal_kernel_basis(n: int, k: int) -> list[dict[int, Fraction]]:
 def _quadratic_ideal_span(n: int):
     """V-multiples of the quadratic relations and their span, built once per n.
 
-    Each kernel vector is scaled to its primitive integer row first, so the
-    multiples, the span's reductions and ``matvec`` on them run on ``int``s.
-    Shared by every caller; none may add to the span or change a vector.
+    The kernel vectors are primitive integer rows, so the multiples, the
+    span's reductions and ``matvec`` on them run on ``int``s.  Shared by
+    every caller; none may add to the span or change a vector.
     """
     if n > 8:
         raise ValueError("feasibility guard: n <= 8")
-    quads = [exact_linalg.primitive_row(q) for q in ideal_kernel_basis(n, 2)]
+    quads = ideal_kernel_basis(n, 2)
     ids, table = matching_ids(n), _column_table(n, 3)
     times = [table[ids[a], ids[b]] for a, b in sym_basis(n, 2)]
     # multiplying by v maps distinct quadratic monomials to distinct cubic

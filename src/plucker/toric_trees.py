@@ -60,39 +60,29 @@ class TrivalentTree:
     def trinodes(self) -> list[int]:
         return [v for v in range(self.num_vertices) if len(self.adj[v]) == 3]
 
-    def path_between_vertices(self, u: int, w: int):
-        """(vertex tuple, edge index tuple) of the geodesic from u to w."""
-        key = (u, w)
-        hit = self._path_cache.get(key)
+    def leaf_path(self, label1: int, label2: int):
+        """(vertex tuple, edge index tuple) of the geodesic between two leaves."""
+        hit = self._path_cache.get((label1, label2))
         if hit is not None:
             return hit
+        u, w = self.leaf_of_label[label1], self.leaf_of_label[label2]
         prev: dict[int, tuple[int, int] | None] = {u: None}
         stack = [u]
-        while stack:
+        while w not in prev:
             x = stack.pop()
-            if x == w:
-                break
             for idx, y in self.adj[x]:
                 if y not in prev:
                     prev[y] = (x, idx)
                     stack.append(y)
-        verts = [w]
-        eidx = []
-        x = w
-        while prev[x] is not None:
-            p, idx = prev[x]
+        verts, eidx = [w], []
+        while prev[verts[-1]] is not None:
+            p, idx = prev[verts[-1]]
             eidx.append(idx)
             verts.append(p)
-            x = p
         result = (tuple(reversed(verts)), tuple(reversed(eidx)))
-        self._path_cache[key] = result
-        self._path_cache[(w, u)] = (result[0][::-1], result[1][::-1])
+        self._path_cache[label1, label2] = result
+        self._path_cache[label2, label1] = (result[0][::-1], result[1][::-1])
         return result
-
-    def leaf_path(self, label1: int, label2: int):
-        return self.path_between_vertices(self.leaf_of_label[label1],
-                                          self.leaf_of_label[label2])
-
 
 
 @lru_cache(maxsize=None)
@@ -155,7 +145,6 @@ class TreeWeighting:
     def is_admissible(self) -> bool:
         return all(admissible_triple(*self.weight_triple(v))
                    for v in self.tree.trinodes())
-
 
 
 def level(edges, tree: TrivalentTree) -> int:
@@ -234,34 +223,32 @@ def admissible_triple(a: int, b: int, c: int, reduced: bool = False) -> bool:
 def _completion_counts(tree: TrivalentTree, d: int):
     """The DP shared by counting and enumeration, hung from leaf 1's edge.
 
-    Returns (table, root_edge, below, children): ``children[v]`` lists the
-    (edge, vertex) pairs under trinode v, and ``table[e]`` maps a weight on
-    edge e to the number of admissible completions of the subtree under e
-    with every leaf edge weighted d.  The edges are filled in post-order by
-    a loop, so a deep tree needs no deep recursion.  Raises ``ValueError`` on
-    d < 0.
+    Returns (table, root_edge, trinodes): ``trinodes`` lists, in pre-order,
+    each trinode's (parent edge, child edge, child edge), and ``table[e]``
+    maps a weight on edge e to the number of admissible completions of the
+    subtree under e with every leaf edge weighted d.  The edges are filled in
+    post-order by a loop, so a deep tree needs no deep recursion.  Raises
+    ``ValueError`` on d < 0.
     """
     if d < 0:
         raise ValueError(f"degree must be >= 0, got {d}")
     root_leaf = tree.leaf_of_label[min(tree.leaf_of_label)]
     (root_edge, below), = tree.adj[root_leaf]
-    children: dict[int, list[tuple[int, int]]] = {}
     table: dict[int, dict[int, int]] = {}
     # pre-order puts each edge after its parent edge, so walking it backwards
-    # fills both child tables before the parent's
+    # fills both child tables before the parent's; a leaf edge has no children
     preorder = []
     stack = [(root_edge, below, root_leaf)]
     while stack:
         e, v, parent = stack.pop()
-        preorder.append((e, v))
-        if v not in tree.label_of_leaf:
-            children[v] = [(idx, w) for idx, w in tree.adj[v] if w != parent]
-            stack.extend((idx, w, v) for idx, w in children[v])
-    for e, v in reversed(preorder):
-        if v in tree.label_of_leaf:
+        children = [(idx, w) for idx, w in tree.adj[v] if w != parent]
+        preorder.append((e, *(idx for idx, _ in children)))
+        stack.extend((idx, w, v) for idx, w in reversed(children))
+    for e, *kids in reversed(preorder):
+        if not kids:
             table[e] = {d: 1}
             continue
-        (e1, _), (e2, _) = children[v]
+        e1, e2 = kids
         out: dict[int, int] = {}
         for w1, n1 in table[e1].items():
             for w2, n2 in table[e2].items():
@@ -270,37 +257,42 @@ def _completion_counts(tree: TrivalentTree, d: int):
                 for w in range(abs(w1 - w2), w1 + w2 + 1, 2):
                     out[w] = out.get(w, 0) + n1 * n2
         table[e] = out
-    return table, root_edge, below, children
+    return table, root_edge, [edges for edges in preorder if len(edges) == 3]
 
 
 def count_admissible_regular(tree: TrivalentTree, d: int) -> int:
     """Number of admissible weightings regular of degree d (exact DP)."""
-    table, root_edge, _, _ = _completion_counts(tree, d)
+    table, root_edge, _ = _completion_counts(tree, d)
     return table[root_edge].get(d, 0)
 
 
 def enumerate_admissible_regular(tree: TrivalentTree, d: int):
-    """Yield every admissible weighting regular of degree d, DP-pruned."""
-    table, root_edge, below, children = _completion_counts(tree, d)
-    weights = [0] * len(tree.edges)
-    weights[root_edge] = d
+    """Yield every admissible weighting regular of degree d, DP-pruned.
 
-    def gen(v: int, w: int):
-        if v in tree.label_of_leaf:
-            yield True  # leaf edges only take the table's one weight, d
-            return
-        (e1, c1), (e2, c2) = children[v]
+    An odometer over the trinodes in pre-order, with a stack of iterators in
+    place of one Python frame per tree level: a trinode steps through the
+    weight pairs of its child edges once for each step of the ones before it.
+    """
+    table, _, trinodes = _completion_counts(tree, d)
+    weights = [d] * len(tree.edges)  # right at every leaf edge; trinodes set the rest
+
+    def pairs(e: int, e1: int, e2: int):
         for w1 in sorted(table[e1]):
             for w2 in sorted(table[e2]):
-                if not admissible_triple(w, w1, w2):
-                    continue
-                weights[e1], weights[e2] = w1, w2
-                for _ in gen(c1, w1):
-                    for _ in gen(c2, w2):
-                        yield True
+                if admissible_triple(weights[e], w1, w2):
+                    weights[e1], weights[e2] = w1, w2
+                    yield True
 
-    for _ in gen(below, d):
-        yield TreeWeighting(tree, tuple(weights))
+    stack = []
+    while True:
+        if len(stack) == len(trinodes):
+            yield TreeWeighting(tree, tuple(weights))
+        else:
+            stack.append(pairs(*trinodes[len(stack)]))
+        while stack and not next(stack[-1], False):
+            stack.pop()  # this trinode has run out: step the one before it
+        if not stack:
+            return
 
 
 def toric_plucker_applicable(tree: TrivalentTree, a: int, b: int, c: int, d: int) -> bool:

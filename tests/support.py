@@ -17,7 +17,13 @@ from plucker.invariant_ring import RingElement, straighten_graph
 from plucker.relations import SymElement
 from plucker.symmetry_rep import ClassFunction, class_size, mn_character, partitions
 from plucker.toric_rewriting import CatWeighting
-from plucker.toric_trees import TrivalentTree, TreeWeighting, build_y_tree
+from plucker.toric_trees import (
+    TrivalentTree,
+    TreeWeighting,
+    _completion_counts,
+    admissible_triple,
+    build_y_tree,
+)
 
 
 def y_of(n: int, pairs) -> RingElement:
@@ -159,3 +165,34 @@ def untruncate(c: CatWeighting, d: int) -> TreeWeighting:
     if not out.is_admissible():
         raise ValueError(f"{c} does not untruncate at degree {d}")
     return out
+
+
+def enumerate_recursively(tree: TrivalentTree, d: int):
+    """Admissible weightings regular of degree d, by nested generators.
+
+    The order oracle for ``enumerate_admissible_regular``: at each trinode the
+    first child's subtree runs through all its completions for every step of
+    the trinode's own weight pair, and the second child's for every step of
+    the first's.  It takes one Python frame per tree level.
+    """
+    table, root_edge, _ = _completion_counts(tree, d)
+    root_leaf = tree.leaf_of_label[min(tree.leaf_of_label)]
+    weights = [0] * len(tree.edges)
+    weights[root_edge] = d
+
+    def gen(v: int, parent: int, w: int):
+        if v in tree.label_of_leaf:
+            yield True
+            return
+        (e1, c1), (e2, c2) = [(idx, x) for idx, x in tree.adj[v] if x != parent]
+        for w1 in sorted(table[e1]):
+            for w2 in sorted(table[e2]):
+                if not admissible_triple(w, w1, w2):
+                    continue
+                weights[e1], weights[e2] = w1, w2
+                for _ in gen(c1, v, w1):
+                    for _ in gen(c2, v, w2):
+                        yield True
+
+    for _ in gen(tree.adj[root_leaf][0][1], root_leaf, d):
+        yield TreeWeighting(tree, tuple(weights))

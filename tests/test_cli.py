@@ -132,6 +132,14 @@ BAD_USER_INPUTS = [
     ("straighten", _element([1, 3], [2, 4], coeff=True)),
     ("orbit-span", "--element", _simplest(coeffs=(0.1, -0.1))),
     ("orbit-span", "--element", _simplest(coeffs=(True, -1))),
+    # JSON containers must be lists, not objects or strings
+    ("straighten", '{"n":4,"terms":{}}'),
+    ("straighten", '{"n":4,"edges":{}}'),
+    ("orbit-span", "--element", '{"n":8,"degree":2,"terms":""}'),
+    ("orbit-span", "--element", '{"n":8,"degree":2,"terms":[{"coeff":"1","monomial":{}}]}'),
+    ("normal-form", '{"r":4,"entries":{}}'),
+    ("relation", "construct", "simplest", "--data",
+     '{"cycleA":[1,2,6,5],"cycleB":[3,4,8,7],"doubled_rest":{}}'),
 ]
 
 # Bad values that no command can build, passed to the library directly; each
@@ -292,9 +300,16 @@ def test_toric_count_on_a_deep_tree(capsys):
     assert int(out) == hilbert_dim(2200, 1)
 
 
+def test_toric_round_trip_on_a_deep_tree(capsys):
+    # degree 0 has one weighting at every r; the enumeration walks the r = 1100
+    # tree by a loop, where one generator frame per level hit the recursion limit
+    code, out, err = run(capsys, "toric", "round-trip", "--r", "1100", "--degree", "0")
+    assert (code, out, err) == (0, "1 weightings, all round trip: True\n", "")
+
+
 def test_toric_round_trip_over_the_budget_exits_2(capsys):
-    # counted by the DP before enumerating: the r = 1100 tree is too deep for
-    # the enumeration's recursion, and its weightings too many to visit
+    # counted by the DP before enumerating: the r = 1100 tree has too many
+    # weightings to visit
     code, _, err = run(capsys, "toric", "round-trip", "--r", "1100", "--degree", "1")
     assert code == 2 and "Traceback" not in err
     assert str(hilbert_dim(2200, 1)) in err and str(ROUND_TRIP_WEIGHTINGS) in err

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from plucker.exact_linalg import (
     IncrementalSpan,
     QMatrix,
+    _row_space,
     kernel_basis,
     matvec,
     rank,
-    rref,
 )
 from plucker.relations import ideal_component_dim, relation_matrix
 
@@ -128,10 +128,10 @@ def test_incremental_span():
 
 
 def test_pivot_column_is_the_least_used():
-    # rank, rref and kernel_basis: the column fewest pivot rows touch
+    # rank and kernel_basis: the column fewest pivot rows touch
     m = from_rows([[1, 1, 0], [0, -2, 2]])
-    # column 1 is in one pivot row, column 2 in none
-    assert rref(m) == ([{0: 1, 1: 1}, {1: -1, 2: 1}], [0, 2])
+    # column 1 is in one pivot row, column 2 in none, so column 1 is free
+    assert kernel_basis(m) == [{0: -1, 1: 1, 2: 1}]
     assert rank(m) == 2
 
 
@@ -212,17 +212,38 @@ def test_rank_and_kernel_agree_with_oracle(case):
         assert matvec(m, v) == {}
 
 
+def oracle_kernel(rows, cols):
+    """Dense kernel basis read off ``oracle_rref``: for each free column f, 1 at f
+    and minus each reduced row's entry at f at that row's pivot."""
+    frows, pivots = oracle_rref(rows, cols)
+    basis = []
+    for f in range(cols):
+        if f not in pivots:
+            vec = [0] * cols
+            vec[f] = 1
+            for row, p in zip(frows, pivots):
+                vec[p] = -row[f]
+            basis.append(vec)
+    return basis
+
+
 @properties
 @given(matrices())
-def test_rref_spans_the_row_space(case):
+def test_kernel_is_primitive_integer_rows(case):
     cols, rows = case
-    frows, pivot_cols = rref(from_rows(rows, cols))
-    assert pivot_cols == sorted(set(pivot_cols))
-    for row, pc in zip(frows, pivot_cols):
-        assert row[pc] == 1
-        assert all(row.get(other, 0) == 0 for other in pivot_cols if other != pc)
-    dense = [[row.get(c, 0) for c in range(cols)] for row in frows]
-    assert oracle_rref(dense, cols) == oracle_rref(rows, cols)
+    m = from_rows(rows, cols)
+    kb = kernel_basis(m)
+    free = [c for c in range(cols) if c not in _row_space(m).pivots]
+    assert len(kb) == len(free) == cols - rank(m)
+    for v, f in zip(kb, free):
+        assert all(type(x) is int and x for x in v.values())
+        assert gcd(*v.values()) == 1
+        assert v.keys() & set(free) == {f} and v[f] > 0
+        assert matvec(m, v) == {}
+    # the same space as the oracle's kernel
+    oracle = oracle_kernel(rows, cols)
+    both = [dense(v, cols) for v in kb] + oracle
+    assert len(oracle_rref(both, cols)[1]) == len(oracle) == len(kb)
 
 
 @properties
@@ -264,7 +285,6 @@ def test_matvec_agrees_with_the_dense_product(case, data):
     want = {i: x for i, x in dense_product.items() if x}
     first = matvec(m, v)
     assert first == want
-    assert all(type(x) is Fraction for x in first.values())
     assert matvec(m, v) == first  # the index built by the first call
 
 
@@ -312,18 +332,29 @@ def test_int_and_fraction_routes_agree(case):
     assert all(type(v) is int for v in ints.entries.values())
     assert all(type(v) is int for v in fractions.entries.values())
     assert rank(ints) == rank(fractions) == rank(thirds)
-    assert rref(ints) == rref(fractions) == rref(thirds)
-    for frows, _ in (rref(ints), rref(thirds)):
-        assert all(type(v) is Fraction for row in frows for v in row.values())
     # scaling every entry by 1/3 scales no kernel vector
     assert kernel_basis(ints) == kernel_basis(fractions) == kernel_basis(thirds)
-    for vec in kernel_basis(ints):
-        assert all(type(v) is Fraction for v in vec.values())
     spans = [IncrementalSpan(cols) for _ in routes]
     for span, route in zip(spans, routes):
         for row in route:
             span.add({c: v for c, v in enumerate(row) if v})
     assert spans[0].pivots == spans[1].pivots == spans[2].pivots
+
+
+@properties
+@given(int_matrices(), st.data())
+def test_matvec_keeps_the_number_rule(case, data):
+    # ints in, ints out; a Fraction only where a denominator is left
+    cols, rows = case
+    m = from_rows(rows, cols)
+    probe = data.draw(st.lists(st.integers(-3, 3), min_size=cols, max_size=cols))
+    ints = {c: x for c, x in enumerate(probe) if x}
+    assert all(type(x) is int for x in matvec(m, ints).values())
+    thirds = {c: Fraction(x, 3) for c, x in enumerate(probe) if x}
+    for x in matvec(m, thirds).values():
+        assert type(x) is (int if Fraction(x).denominator == 1 else Fraction)
+    assert matvec(from_rows([[3, 6]]), {0: Fraction(1, 3), 1: Fraction(1, 2)}) == {0: 4}
+    assert type(matvec(from_rows([[3, 6]]), {0: Fraction(1, 3)})[0]) is int
 
 
 # --- the row store and its entries view ----------------------------------------
@@ -364,7 +395,6 @@ def test_batch_calls_leave_a_frozen_matrix_unchanged(case):
     m = from_rows(rows, cols)
     before = _snapshot(m)
     rank(m)
-    rref(m)
     kernel_basis(m)
     matvec(m, {c: 1 for c in range(cols)})
     assert _snapshot(m) == before

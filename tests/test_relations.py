@@ -313,7 +313,7 @@ def test_ideal_kernel_is_segre_at_6_3():
     assert len(kernel) == 1
     k, vec = kernel[0], coords_vector(segre_cubic())
     assert k.keys() == vec.keys(), "supports differ"
-    assert len({vec[c] / k[c] for c in k}) == 1
+    assert len({Fraction(vec[c], k[c]) for c in k}) == 1
     # at (10, 2): 300 independent sparse vectors, each annihilated
     m = relation_matrix(10, 2)
     kernel = ideal_kernel_basis(10, 2)
@@ -361,7 +361,7 @@ def test_quadratic_ideal_component():
 def test_quadratic_ideal_vectors_are_integer_and_span_the_v_multiples():
     vecs, dim = quadratic_ideal_component(8)
     assert all(type(x) is int for vec in vecs for x in vec.values())
-    # the V-multiples of the Fraction kernel vectors, built directly
+    # the V-multiples of the kernel vectors, built directly
     basis2, basis3 = sym_basis(8, 2), sym_basis(8, 3)
     index3 = {m: i for i, m in enumerate(basis3)}
     multiples = [{index3[tuple(sorted(basis2[j] + (v,)))]: c for j, c in q.items()}

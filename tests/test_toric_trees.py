@@ -8,6 +8,7 @@ from plucker.invariant_ring import hilbert_dim
 from plucker.toric_rewriting import CatWeighting
 from plucker.toric_trees import (
     TreeWeighting,
+    TrivalentTree,
     build_caterpillar,
     build_y_tree,
     count_admissible_regular,
@@ -17,7 +18,7 @@ from plucker.toric_trees import (
     toric_plucker_applicable,
     weighting_of_graph,
 )
-from support import leaf_edge_weight, role_edges, truncate, untruncate
+from support import enumerate_recursively, leaf_edge_weight, role_edges, truncate, untruncate
 
 
 def add_weightings(a, b):
@@ -263,6 +264,31 @@ def test_weighting_dp_against_brute_force(tree):
         assert len(got) == len(set(got))
         assert set(got) == want
         assert count_admissible_regular(tree, d) == len(want)
+
+
+def _two_sided_tree():
+    """Leaf 1 on a trinode over two trinodes over four cherries, 9 leaves.
+
+    Under a Y-tree's or a caterpillar's trinode at most one child subtree has
+    a choice to make; here both do, so the order of the children shows.
+    """
+    edges = [(0, 1), (1, 2), (1, 3), (2, 4), (2, 5), (3, 6), (3, 7)]
+    leaves = {1: 0}
+    for i, v in enumerate((4, 5, 6, 7)):
+        for leaf in (8 + 2 * i, 9 + 2 * i):
+            edges.append((v, leaf))
+            leaves[len(leaves) + 1] = leaf
+    return TrivalentTree(16, edges, leaves)
+
+
+def test_enumeration_order_matches_the_nested_generators():
+    # the odometer over pre-order trinodes yields the nested generators' order
+    trees = [build_y_tree(r) for r in range(3, 7)] + [_two_sided_tree()]
+    for tree in trees:
+        for d in range(4):
+            got = list(enumerate_admissible_regular(tree, d))
+            assert got == list(enumerate_recursively(tree, d))
+            assert len(got) == count_admissible_regular(tree, d)
 
 
 def test_lattice_counts_match_enumeration_at_larger_sizes():
