@@ -7,11 +7,14 @@ pairs with the Plucker relation
 
     X_ab X_cd = X_ad X_cb + X_ac X_bd
 
-always picking the lexicographically smallest crossing pair.  Expansions of
-single graphs, and of every intermediate graph met on the way, are memoized
-in a process-wide in-process dict keyed by the canonical graph alone: the
-expansion of a graph does not depend on n, which only names the label set.
-Rewrites take new edges from one shared table, so memo keys share edge tuples.
+always picking the lexicographically smallest crossing pair.  Both children
+have sign +1, so every coefficient of an expansion is a positive int.  The
+expansions of the graphs asked for, of the non-crossing leaves, and of each
+intermediate graph that a second call reaches are memoized in a process-wide
+in-process dict keyed by the canonical graph alone: the expansion of a graph
+does not depend on n, which only names the label set.  Other intermediates
+are dropped when their call returns.  Rewrites take new edges from one shared
+table, so memo keys share edge tuples.
 ``degree_trace`` gives the dimensions and characters of the graded pieces
 without building them.
 
@@ -48,22 +51,32 @@ class FuelExhausted(RuntimeError):
 
 
 class StraightenCache:
-    """Memo of canonical graph -> integer expansion in the non-crossing basis."""
+    """Memo of canonical graph -> integer expansion in the non-crossing basis.
+
+    ``seen`` holds the hash of each intermediate graph a call let go, so a
+    second call that reaches it stores it; a hash collision only stores a
+    graph early.  ``rewrites`` counts the Plucker rewrites done.
+    """
 
     def __init__(self):
         self.memo: dict[GraphKey, dict[GraphKey, int]] = {}
         self.edges: dict[tuple[int, int], tuple[int, int]] = {}  # shared by memo keys
+        self.seen: set[int] = set()
         self.hits = 0
         self.misses = 0
+        self.rewrites = 0
 
     def clear(self) -> None:
         self.memo.clear()
         self.edges.clear()
+        self.seen.clear()
         self.hits = 0
         self.misses = 0
+        self.rewrites = 0
 
     def stats(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses, "entries": len(self.memo)}
+        return {"hits": self.hits, "misses": self.misses,
+                "entries": len(self.memo), "rewrites": self.rewrites}
 
 
 GLOBAL_CACHE = StraightenCache()
@@ -112,46 +125,53 @@ def _plucker_children(edges: GraphKey, i: int, j: int,
 
 
 def straighten_graph(n: int, key: GraphKey) -> dict[GraphKey, int]:
-    """Expand one canonical graph in the non-crossing basis (integer coeffs).
+    """Expand one canonical graph in the non-crossing basis (positive int coeffs).
 
-    Iterative worklist with memoization; termination is guaranteed because a
-    Plucker step strictly decreases the total Euclidean chord length of every
-    branch, but a fuel counter guards against implementation bugs.
+    A crossing graph's expansion is the sum of its two children's.  The memo
+    keeps the expansion asked for, every non-crossing leaf, and each
+    intermediate graph that a second call reaches; the others live in a
+    per-call dict.  Termination holds because a Plucker step strictly
+    decreases the total Euclidean chord length of every branch, but a fuel
+    counter guards against implementation bugs.
     """
-    memo = GLOBAL_CACHE.memo
+    cache = GLOBAL_CACHE
+    memo = cache.memo
     if key in memo:
-        GLOBAL_CACHE.hits += 1
+        cache.hits += 1
         return memo[key]
-    GLOBAL_CACHE.misses += 1
-    fuel = STRAIGHTEN_FUEL
-    stack = [key]
-    children: dict[GraphKey, tuple[GraphKey, GraphKey]] = {}
+    cache.misses += 1
+    seen, shared = cache.seen, cache.edges
+    local: dict[GraphKey, dict[GraphKey, int]] = {}
+    rewrites = 0
+    stack: list = [key]  # a graph to expand, or a frame [g, g1, g2] to sum
     while stack:
-        g = stack[-1]
-        if g in memo:
-            stack.pop()
+        top = stack.pop()
+        if type(top) is list:
+            g, g1, g2 = top
+            e1, e2 = memo.get(g1) or local[g1], memo.get(g2) or local[g2]
+            acc = {**e1, **e2}  # copies keep their hashes; add the shared terms
+            if len(acc) < len(e1) + len(e2):
+                for h in e1.keys() & e2.keys():
+                    acc[h] = e1[h] + e2[h]
+            if g is key or hash(g) in seen:
+                memo[g] = acc
+            else:
+                local[g] = acc
             continue
-        if g not in children:
-            found = first_crossing_pair(g)
-            if found is None:
-                memo[g] = {g: 1}
-                stack.pop()
-                continue
-            fuel -= 1
-            if fuel <= 0:
-                raise FuelExhausted(
-                    f"straightening exceeded {STRAIGHTEN_FUEL} rewrites on n={n}")
-            children[g] = _plucker_children(g, *found, GLOBAL_CACHE.edges)
-        g1, g2 = children[g]
-        pending = [c for c in (g1, g2) if c not in memo]
-        if pending:
-            stack.extend(pending)
+        if top in memo or top in local:
             continue
-        acc = dict(memo[g1])
-        for h, c in memo[g2].items():
-            acc[h] = acc.get(h, 0) + c
-        memo[g] = {h: c for h, c in acc.items() if c}
-        stack.pop()
+        found = first_crossing_pair(top)
+        if found is None:
+            memo[top] = {top: 1}
+            continue
+        rewrites += 1
+        if rewrites >= STRAIGHTEN_FUEL:
+            raise FuelExhausted(
+                f"straightening exceeded {STRAIGHTEN_FUEL} rewrites on n={n}")
+        g1, g2 = _plucker_children(top, *found, shared)
+        stack += ([top, g1, g2], g1, g2)
+    seen.update(map(hash, local))
+    cache.rewrites += rewrites
     return memo[key]
 
 

@@ -27,7 +27,7 @@ REPORT_SCHEMA = {
         "seconds": {"type": "number"},
         "cache": {
             "type": "object",
-            "required": ["hits", "misses", "entries"],
+            "required": ["hits", "misses", "entries", "rewrites"],
         },
         "criteria": {
             "type": "array",
