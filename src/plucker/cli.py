@@ -21,6 +21,7 @@ from .graph_core import (
     json_edges,
     json_int,
     json_list,
+    json_object,
     parse_graph,
     parse_graph_json,
 )
@@ -148,12 +149,13 @@ def cmd_toric(args) -> int:
 
 
 def _parse_cat_tuple(text: str):
-    obj = json.loads(_read_arg(text))
+    obj = json_object(json.loads(_read_arg(text)), "tuple")
     r = json_int(obj["r"], "r")
+    entries = [json_object(ent, "entry") for ent in json_list(obj["entries"], "entries")]
     return tuple(toric_rewriting.CatWeighting(
         r, tuple(json_int(v, "stalk weight") for v in ent["stalks"]),
         tuple(json_int(v, "base weight") for v in ent.get("bases", ())))
-        for ent in json_list(obj["entries"], "entries"))
+        for ent in entries)
 
 
 def cmd_normal_form(args) -> int:
@@ -165,12 +167,13 @@ def cmd_normal_form(args) -> int:
     return EXIT_OK
 
 
+# relations fixed by the paper, which take no --data
+_FIXED_RELATIONS = {"segre": segre_cubic, "segre8": segre8}
+
 _BUILTIN_RELATIONS = {
-    "segre": lambda data: segre_cubic(),
-    "segre8": lambda data: segre8(),
     "simplest": lambda data: simplest_binomial(
-        tuple(json_int(v, "cycle label") for v in data["cycleA"]),
-        tuple(json_int(v, "cycle label") for v in data["cycleB"]),
+        tuple(json_int(v, "cycle label") for v in json_list(data["cycleA"], "cycleA")),
+        tuple(json_int(v, "cycle label") for v in json_list(data["cycleB"], "cycleB")),
         json_edges(data.get("doubled_rest", []))),
     "simple": lambda data: simple_binomial(
         BinomialQuadDatum.from_json_dict(data)),
@@ -188,8 +191,13 @@ def _check_trials(trials: int) -> None:
 
 def cmd_relation(args) -> int:
     _check_trials(args.trials)
-    data = json.loads(_read_arg(args.data)) if args.data else {}
-    rel = _BUILTIN_RELATIONS[args.kind](data)
+    if args.kind in _FIXED_RELATIONS:
+        if args.data is not None:
+            raise ValueError(f"{args.kind} takes no --data")
+        rel = _FIXED_RELATIONS[args.kind]()
+    else:
+        data = json.loads(_read_arg(args.data)) if args.data else {}
+        rel = _BUILTIN_RELATIONS[args.kind](json_object(data, f"{args.kind} datum"))
     payload = {"command": "relation", "kind": args.kind,
                "element": json.loads(rel.to_json())}
     if args.action == "construct":
@@ -294,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("relation", cmd_relation, help="construct or verify a relation")
     p.add_argument("action", choices=("construct", "verify"))
-    p.add_argument("kind", choices=sorted(_BUILTIN_RELATIONS))
+    p.add_argument("kind", choices=sorted(_FIXED_RELATIONS | _BUILTIN_RELATIONS))
     p.add_argument("--data", help="JSON datum, @file or -")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=5)

@@ -32,9 +32,16 @@ rows of an ``IncrementalSpan``:
     a whole sparse matrix this is far cheaper than the largest column.
   Both rules are deterministic.
 
-``rank`` and ``kernel_basis`` are thin wrappers over the kernel; the
-dimension of a span and membership in it are ``IncrementalSpan.dim`` and
-``IncrementalSpan.contains`` on a span grown with ``add``.
+``rank`` peels first, as structured Gaussian elimination does: a row that
+alone touches some column is independent of the others, which are zero
+there, so it is set aside with no arithmetic, again and again until no column
+is touched by exactly one row left.  The rows set aside and the columns that
+named them form a triangular block with a nonzero diagonal, so rank = rows
+set aside + the kernel's rank of the rest.  Every relation matrix tried
+peels completely: its full row rank needs no elimination.  ``kernel_basis``
+is a thin wrapper over the kernel; the dimension of a span and membership in
+it are ``IncrementalSpan.dim`` and ``IncrementalSpan.contains`` on a span
+grown with ``add``.
 """
 
 from __future__ import annotations
@@ -248,11 +255,11 @@ class IncrementalSpan:
         return not self._reduce(self._row(vector))
 
 
-def _row_space(m: QMatrix) -> IncrementalSpan:
-    """Row space of a matrix, each pivot on the column fewest pivot rows touch."""
-    span = IncrementalSpan(m.cols)
+def _row_space(rows: list[dict[int, int | Fraction]], cols: int) -> IncrementalSpan:
+    """Row space of some rows, each pivot on the column fewest pivot rows touch."""
+    span = IncrementalSpan(cols)
     uses: dict[int, int] = {}  # column -> pivot rows nonzero there
-    for row in m._rows:  # primitive_row copies it, so the matrix is unchanged
+    for row in rows:  # primitive_row copies it, so the rows are unchanged
         row = span._reduce(primitive_row(row))
         if row:
             span._keep(min(row, key=lambda c: (uses.get(c, 0), c)), row)
@@ -261,9 +268,42 @@ def _row_space(m: QMatrix) -> IncrementalSpan:
     return span
 
 
+def _unpeeled(rows: list[dict[int, int | Fraction]]) -> list[dict[int, int | Fraction]]:
+    """The rows left once the rows that alone touch a column are set aside, repeatedly.
+
+    Each column keeps the number of rows left that touch it and the XOR of
+    their indices, so a column touched once names its row.
+    """
+    count: dict[int, int] = {}
+    xor: dict[int, int] = {}
+    for r, row in enumerate(rows):
+        for c in row:
+            count[c] = count.get(c, 0) + 1
+            xor[c] = xor.get(c, 0) ^ r
+    left = [True] * len(rows)
+    todo = [c for c, k in count.items() if k == 1]
+    while todo:
+        c = todo.pop()
+        if count[c] != 1:  # its row went with another column
+            continue
+        r = xor[c]
+        left[r] = False
+        for c in rows[r]:
+            count[c] -= 1
+            xor[c] ^= r
+            if count[c] == 1:
+                todo.append(c)
+    return [row for row, keep in zip(rows, left) if keep]
+
+
 def rank(m: QMatrix) -> int:
-    """Rank over Q by exact elimination."""
-    return _row_space(m).dim
+    """Rank over Q: the rows the peel sets aside plus the elimination rank of the rest.
+
+    The peel reads the support, which is exact because no zero is stored;
+    the rows it sets aside are never copied.
+    """
+    rest = _unpeeled(m._rows)
+    return m.rows - len(rest) + _row_space(rest, m.cols).dim
 
 
 def kernel_basis(m: QMatrix) -> list[dict[int, int]]:
@@ -278,7 +318,7 @@ def kernel_basis(m: QMatrix) -> list[dict[int, int]]:
     column, each positive there.
     """
     reduced = IncrementalSpan(m.cols)
-    for col, row in reversed(_row_space(m).pivots.items()):
+    for col, row in reversed(_row_space(m._rows, m.cols).pivots.items()):
         reduced._keep(col, reduced._reduce(row))
     touching = {c: [] for c in range(m.cols) if c not in reduced.pivots}
     for p, row in reduced.pivots.items():

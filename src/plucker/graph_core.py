@@ -252,6 +252,27 @@ def json_list(value, what: str) -> list:
     return value
 
 
+class _JsonObject(dict):
+    """A JSON object whose missing key raises ``ValueError`` naming the key."""
+
+    def __init__(self, value: dict, what: str):
+        super().__init__(value)
+        self.what = what
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.what} has no {key!r} field")
+
+
+def json_object(value, what: str) -> dict:
+    """An object read from JSON; ``ValueError`` on a list, string or number.
+
+    Reading a key it lacks raises ``ValueError`` with the key's name.
+    """
+    if type(value) is not dict:
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    return _JsonObject(value, what)
+
+
 def json_coeff(value) -> Fraction:
     """An exact coefficient read from JSON: a fraction string or an integer."""
     if type(value) is not str and type(value) is not int:
@@ -291,7 +312,7 @@ def parse_graph(text: str) -> tuple[int, list[Edge]]:
 
 def parse_graph_json(text: str) -> tuple[int, list[Edge]]:
     """JSON mirror of the text format: ``{"n":8,"edges":[[1,2],[3,4]]}``."""
-    obj = json.loads(text)
+    obj = json_object(json.loads(text), "graph")
     n = json_int(obj["n"], "n")
     edges = json_edges(obj["edges"])
     check_labels(n, edges)

@@ -39,6 +39,7 @@ from .graph_core import (
     json_edges,
     json_int,
     json_list,
+    json_object,
 )
 
 # One straighten() call may not exceed this many Plucker rewrites; hitting the
@@ -233,10 +234,11 @@ class RingElement:
 
     @classmethod
     def from_json(cls, text: str) -> "RingElement":
-        obj = json.loads(text)
+        obj = json_object(json.loads(text), "element")
         n = json_int(obj["n"], "n")
         items = []
         for t in json_list(obj["terms"], "terms"):
+            t = json_object(t, "term")
             edges = json_edges(t["edges"])
             check_labels(n, edges)
             cf = canonicalize(edges)

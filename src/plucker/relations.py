@@ -40,6 +40,7 @@ from .graph_core import (
     json_edges,
     json_int,
     json_list,
+    json_object,
     matching_key,
     noncrossing_matchings,
     orientation_sign,
@@ -135,9 +136,10 @@ class SymElement:
 
     @classmethod
     def from_json(cls, text: str) -> "SymElement":
-        obj = json.loads(text)
+        obj = json_object(json.loads(text), "element")
         items = []
         for t in json_list(obj["terms"], "terms"):
+            t = json_object(t, "term")
             mono = tuple(tuple(json_edges(m)) for m in json_list(t["monomial"], "monomial"))
             items.append((mono, json_coeff(t["coeff"])))
         return cls.from_terms(json_int(obj["n"], "n"),
@@ -521,6 +523,9 @@ def simplest_binomial(cycle_a, cycle_b, doubled_rest=()) -> SymElement:
     ``doubled_rest`` is a matching on the remaining labels, doubled in both
     colors.  U is the vertex set of ``cycle_b``.
     """
+    for cycle in (cycle_a, cycle_b):
+        if len(cycle) != 4:
+            raise ValueError(f"a cycle needs 4 labels, got {list(cycle)}")
     rest = [tuple(e) for e in doubled_rest]
     labels = set(cycle_a) | set(cycle_b)
     for a, b in rest:

@@ -362,6 +362,42 @@ def test_relation_commands(capsys):
     assert code == EXIT_PARSE
 
 
+# JSON of the wrong shape: each message names the field or container at fault
+JSON_SHAPE_ERRORS = [
+    (("normal-form", "[]"), "error: tuple must be a JSON object, got []"),
+    (("normal-form", '{"r":4}'), "error: tuple has no 'entries' field"),
+    (("normal-form", '{"r":4,"entries":[3]}'), "error: entry must be a JSON object, got 3"),
+    (("normal-form", '{"r":4,"entries":[{}]}'), "error: entry has no 'stalks' field"),
+    (("relation", "verify", "simplest", "--data", '{"cycleA":[1,2,6,5]}'),
+     "error: simplest datum has no 'cycleB' field"),
+    (("relation", "verify", "simplest", "--data", '{"cycleA":[1,2],"cycleB":[3,4,8,7]}'),
+     "error: a cycle needs 4 labels, got [1, 2]"),
+    (("relation", "verify", "simple", "--data", "[]"),
+     "error: simple datum must be a JSON object, got []"),
+    (("relation", "verify", "generalized-segre", "--data", "{}"),
+     "error: generalized-segre datum has no 'UR' field"),
+    (("evaluate", '{"n":2,"terms":[{"coeff":"1"}]}', "--points", "0,1"),
+     "error: term has no 'edges' field"),
+    (("evaluate", '{"n":2,"terms":[3]}', "--points", "0,1"), "error: term must be a JSON object, got 3"),
+    (("straighten", '{"n":3}'), "error: graph has no 'edges' field"),
+    (("orbit-span", "--element", "[]"), "error: element must be a JSON object, got []"),
+    (("orbit-span", "--element", '{"n":8,"degree":2}'), "error: element has no 'terms' field"),
+]
+
+
+def test_json_shape_errors_name_the_field(capsys):
+    for argv, message in JSON_SHAPE_ERRORS:
+        assert run(capsys, *argv) == (EXIT_PARSE, "", message + "\n"), argv
+
+
+def test_fixed_relations_refuse_data(capsys):
+    for kind in ("segre", "segre8"):
+        for action in ("construct", "verify"):
+            for data in ("[]", "{}", ""):
+                code, out, err = run(capsys, "relation", action, kind, "--data", data)
+                assert (code, out, err) == (EXIT_PARSE, "", f"error: {kind} takes no --data\n")
+
+
 def test_orbit_span_command(capsys):
     code, out, _ = run(capsys, "orbit-span", "--builtin", "simplest8", "--json")
     assert code == 0

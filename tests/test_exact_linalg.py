@@ -11,10 +11,12 @@ from plucker.exact_linalg import (
     IncrementalSpan,
     QMatrix,
     _row_space,
+    _unpeeled,
     kernel_basis,
     matvec,
     rank,
 )
+from plucker.invariant_ring import hilbert_dim
 from plucker.relations import ideal_component_dim, relation_matrix
 
 
@@ -233,7 +235,7 @@ def test_kernel_is_primitive_integer_rows(case):
     cols, rows = case
     m = from_rows(rows, cols)
     kb = kernel_basis(m)
-    free = [c for c in range(cols) if c not in _row_space(m).pivots]
+    free = [c for c in range(cols) if c not in _row_space(m._rows, m.cols).pivots]
     assert len(kb) == len(free) == cols - rank(m)
     for v, f in zip(kb, free):
         assert all(type(x) is int and x for x in v.values())
@@ -408,3 +410,63 @@ def test_shared_relation_matrix_keeps_its_rows():
     before = _snapshot(m)
     assert ideal_component_dim(8, 2) == m.cols - rank(m) == len(kernel_basis(m))
     assert _snapshot(m) == before and relation_matrix(8, 2) is m
+
+
+# --- rank by peeling -------------------------------------------------------------
+
+@st.composite
+def peeling_matrices(draw):
+    """(cols, rows, unpeeled): sparse rational rows of which only some peel.
+
+    The core rows, over the first columns, each come twice, the second time
+    scaled, so every column they touch is touched twice and none of them
+    peels.  Each further row owns one later column: it is the first row
+    nonzero there, and it may touch the core's columns and the columns of the
+    rows before it, so the peel takes them from the last one back.  Zero rows
+    are mixed in, and the rows are shuffled.  ``unpeeled`` counts the core and
+    zero rows.
+    """
+    entry = st.fractions(-4, 4, max_denominator=3).filter(bool)
+    width = draw(st.integers(0, 4))
+    core = []
+    for _ in range(draw(st.integers(0, 3)) if width else 0):
+        row = draw(st.dictionaries(st.integers(0, width - 1), entry, max_size=width))
+        scale = draw(entry)
+        core += [row, {c: scale * v for c, v in row.items()}]
+    owners = []
+    for own in range(width, width + draw(st.integers(0, 4))):
+        row = draw(st.dictionaries(st.integers(0, own - 1), entry, max_size=3)) if own else {}
+        owners.append(row | {own: draw(entry)})
+    zeros = [{}] * draw(st.integers(0, 2))
+    cols = max(width + len(owners), 1)
+    rows = draw(st.permutations(core + owners + zeros))
+    return cols, [dense(row, cols) for row in rows], len(core) + len(zeros)
+
+
+@properties
+@given(peeling_matrices())
+def test_rank_by_peeling_agrees_with_oracle(case):
+    cols, rows, unpeeled = case
+    m = from_rows(rows, cols)
+    assert len(_unpeeled(m._rows)) == unpeeled
+    assert rank(m) == len(oracle_rref(rows, cols)[1])
+
+
+def test_peel_examples():
+    # only row 0 touches column 0; once it is set aside, row 1 alone touches
+    # column 1, and then row 2 alone touches column 2
+    assert _unpeeled(from_rows([[1, 1, 0], [0, 1, 1], [0, 0, 1]])._rows) == []
+    # every column touched twice: nothing peels, and elimination gives the rank
+    m = from_rows([[1, 2], [2, 4], [0, 0]])
+    assert _unpeeled(m._rows) == m._rows and rank(m) == 1
+
+
+@pytest.mark.parametrize("n, k", [(6, 3), (8, 2), (8, 3), (10, 2)])
+def test_peeling_alone_proves_degree_one_generation(n, k, monkeypatch):
+    # full row rank of Sym^k V -> R_k with no row eliminated: the peeled rows
+    # and the columns that named them form a triangular block
+    def eliminate(span, row):
+        raise AssertionError("rank eliminated a row")
+
+    monkeypatch.setattr(IncrementalSpan, "_reduce", eliminate)
+    assert rank(relation_matrix(n, k)) == hilbert_dim(n, k)
