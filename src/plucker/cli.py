@@ -20,6 +20,7 @@ from .graph_core import (
     graph_to_json,
     json_edges,
     json_int,
+    json_ints,
     json_list,
     json_object,
     parse_graph,
@@ -152,10 +153,9 @@ def _parse_cat_tuple(text: str):
     obj = json_object(json.loads(_read_arg(text)), "tuple")
     r = json_int(obj["r"], "r")
     entries = [json_object(ent, "entry") for ent in json_list(obj["entries"], "entries")]
-    return tuple(toric_rewriting.CatWeighting(
-        r, tuple(json_int(v, "stalk weight") for v in ent["stalks"]),
-        tuple(json_int(v, "base weight") for v in ent.get("bases", ())))
-        for ent in entries)
+    return tuple(toric_rewriting.CatWeighting(r, tuple(json_ints(ent["stalks"], "stalks")),
+                                              tuple(json_ints(ent.get("bases", []), "bases")))
+                 for ent in entries)
 
 
 def cmd_normal_form(args) -> int:
@@ -172,8 +172,7 @@ _FIXED_RELATIONS = {"segre": segre_cubic, "segre8": segre8}
 
 _BUILTIN_RELATIONS = {
     "simplest": lambda data: simplest_binomial(
-        tuple(json_int(v, "cycle label") for v in json_list(data["cycleA"], "cycleA")),
-        tuple(json_int(v, "cycle label") for v in json_list(data["cycleB"], "cycleB")),
+        tuple(json_ints(data["cycleA"], "cycleA")), tuple(json_ints(data["cycleB"], "cycleB")),
         json_edges(data.get("doubled_rest", []))),
     "simple": lambda data: simple_binomial(
         BinomialQuadDatum.from_json_dict(data)),

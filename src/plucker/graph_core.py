@@ -281,10 +281,18 @@ def json_coeff(value) -> Fraction:
     return Fraction(value)
 
 
+def json_ints(value, what: str) -> list[int]:
+    """A list of integers read from JSON; ``ValueError`` naming ``what`` otherwise."""
+    return [json_int(v, f"{what} entry") for v in json_list(value, what)]
+
+
 def json_edges(edges) -> list[Edge]:
-    """Edges ``[[a, b], ...]`` read from JSON, with integer endpoints."""
-    return [(json_int(a, "edge label"), json_int(b, "edge label"))
-            for a, b in json_list(edges, "edges")]
+    """Edges ``[[a, b], ...]`` read from JSON, each a list of two integers."""
+    out = [tuple(json_ints(e, "edge")) for e in json_list(edges, "edges")]
+    for e in out:
+        if len(e) != 2:
+            raise ValueError(f"edge must have 2 labels, got {list(e)}")
+    return out
 
 
 def check_labels(n: int, edges) -> None:

@@ -1,7 +1,8 @@
 """The invariant ring: X-graph combinations, straightening and evaluation.
 
 A ring element is a finitely supported rational combination of canonical
-loop-free directed graphs (X-graphs) on 1..n.  The straightening algorithm
+loop-free directed graphs (X-graphs) on 1..n; its algebra (sum, difference,
+scaling, equality) is ``Combination``, shared with ``relations.SymElement``.  The straightening algorithm
 rewrites any element into the non-crossing basis by resolving crossing edge
 pairs with the Plucker relation
 
@@ -176,50 +177,68 @@ def straighten_graph(n: int, key: GraphKey) -> dict[GraphKey, int]:
     return memo[key]
 
 
-@dataclass(frozen=True)
-class RingElement:
+class Combination:
+    """The algebra of finite rational combinations, shared by ``RingElement``
+    and ``relations.SymElement``.
+
+    A subclass is a frozen dataclass whose fields are its ``shape()``, the
+    label count n or (n, degree), followed by ``terms``: a dict from keys to
+    nonzero ``Fraction``s.  Elements of different shapes do not add.
+    """
+
+    @classmethod
+    def zero(cls, *shape):
+        return cls(*shape, {})
+
+    @classmethod
+    def _collect(cls, shape: tuple, items):
+        """The element of this shape summing the (key, coefficient) items."""
+        acc: dict = {}
+        for key, coeff in items:
+            coeff = Fraction(coeff)
+            if coeff:
+                acc[key] = acc.get(key, Fraction(0)) + coeff
+        return cls(*shape, {k: v for k, v in acc.items() if v})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        if self.shape() != other.shape():
+            raise ValueError(f"label-set mismatch: {self.shape()} and {other.shape()}")
+        return self._collect(self.shape(),
+                             list(self.terms.items()) + list(other.terms.items()))
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        c = Fraction(c)
+        if not c:
+            return self.zero(*self.shape())
+        return type(self)(*self.shape(), {k: v * c for k, v in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.shape() == other.shape() \
+            and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((*self.shape(), tuple(sorted(self.terms.items()))))
+
+
+@dataclass(frozen=True, eq=False)
+class RingElement(Combination):
     """Rational combination of canonical loop-free directed graphs on 1..n."""
 
     n: int
     terms: dict[GraphKey, Fraction] = field(default_factory=dict)
 
-    @classmethod
-    def zero(cls, n: int) -> "RingElement":
-        return cls(n, {})
+    def shape(self) -> tuple[int]:
+        return (self.n,)
 
     @classmethod
     def from_terms(cls, n: int, items) -> "RingElement":
-        acc: dict[GraphKey, Fraction] = {}
-        for key, coeff in items:
-            coeff = Fraction(coeff)
-            if coeff:
-                acc[key] = acc.get(key, Fraction(0)) + coeff
-        return cls(n, {k: v for k, v in acc.items() if v})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        if self.n != other.n:
-            raise ValueError(f"label-set mismatch: n={self.n} and n={other.n}")
-        return RingElement.from_terms(
-            self.n, list(self.terms.items()) + list(other.terms.items()))
-
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "RingElement":
-        c = Fraction(c)
-        if not c:
-            return RingElement.zero(self.n)
-        return RingElement(self.n, {k: v * c for k, v in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RingElement) and self.n == other.n \
-            and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(self.terms.items()))))
+        return cls._collect((n,), items)
 
     def __repr__(self):
         if not self.terms:

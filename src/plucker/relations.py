@@ -39,6 +39,7 @@ from .graph_core import (
     json_coeff,
     json_edges,
     json_int,
+    json_ints,
     json_list,
     json_object,
     matching_key,
@@ -46,7 +47,7 @@ from .graph_core import (
     orientation_sign,
     valences,
 )
-from .invariant_ring import RingElement, evaluate, straighten, straighten_graph
+from .invariant_ring import Combination, RingElement, evaluate, straighten, straighten_graph
 
 Monomial = tuple[GraphKey, ...]  # sorted multiset of matchings
 
@@ -65,62 +66,31 @@ def y_expansion(n: int, mkey: GraphKey) -> dict[int, int]:
             for g, c in straighten_graph(n, mkey).items()}
 
 
-@dataclass(frozen=True)
-class SymElement:
+@dataclass(frozen=True, eq=False)
+class SymElement(Combination):
     """Finitely supported map {multiset of k matchings} -> Q."""
 
     n: int
     degree: int
     terms: dict[Monomial, Fraction]
 
-    @classmethod
-    def zero(cls, n: int, degree: int) -> "SymElement":
-        return cls(n, degree, {})
+    def shape(self) -> tuple[int, int]:
+        return (self.n, self.degree)
 
     @classmethod
     def from_terms(cls, n: int, degree: int, items) -> "SymElement":
-        acc: dict[Monomial, Fraction] = {}
-        for key, coeff in items:
+        def checked(key):
             key = tuple(sorted(matching_key(m) for m in key))
             if len(key) != degree:
                 raise ValueError(f"monomial of {len(key)} matchings in degree {degree}")
             if any(2 * len(m) != n for m in key):
                 raise ValueError(f"layers must be perfect matchings of 1..{n}")
-            coeff = Fraction(coeff)
-            if coeff:
-                acc[key] = acc.get(key, Fraction(0)) + coeff
-        return cls(n, degree, {k: v for k, v in acc.items() if v})
+            return key
+        return cls._collect((n, degree), ((checked(key), c) for key, c in items))
 
     @classmethod
     def monomial(cls, n: int, matchings, coeff=1) -> "SymElement":
         return cls.from_terms(n, len(tuple(matchings)), [(tuple(matchings), coeff)])
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "SymElement") -> "SymElement":
-        if (self.n, self.degree) != (other.n, other.degree):
-            raise ValueError(f"(n, degree) {self.n, self.degree} != {other.n, other.degree}")
-        return SymElement.from_terms(
-            self.n, self.degree,
-            list(self.terms.items()) + list(other.terms.items()))
-
-    def __sub__(self, other: "SymElement") -> "SymElement":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "SymElement":
-        c = Fraction(c)
-        if not c:
-            return SymElement.zero(self.n, self.degree)
-        return SymElement(self.n, self.degree,
-                          {k: v * c for k, v in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymElement) and \
-            (self.n, self.degree, self.terms) == (other.n, other.degree, other.terms)
-
-    def __hash__(self):
-        return hash((self.n, self.degree, tuple(sorted(self.terms.items()))))
 
     def __repr__(self):
         if not self.terms:
@@ -395,22 +365,13 @@ def kempe_factor(n: int, edges):
             sign = cf.sign * _y_product(peeled)[0]
             return SymElement.from_terms(n, 2, [(peeled, Fraction(sign))])
     half = n // 2
-
-    def edge_type(e: Edge) -> int:
-        a, b = e
-        pa, pb = a <= half, b <= half
-        if pa and pb:
-            return 1
-        if not pa and not pb:
-            return -1
-        return 0
-
     work: dict[GraphKey, int] = {cf.graph: cf.sign}
     done: dict[GraphKey, int] = {}
     while work:
         key, coeff = work.popitem()
-        pos = [i for i, e in enumerate(key) if edge_type(e) == 1]
-        neg = [i for i, e in enumerate(key) if edge_type(e) == -1]
+        # a canonical edge (a, b) has a < b: positive iff b <= n/2, negative iff a > n/2
+        pos = [i for i, (_, b) in enumerate(key) if b <= half]
+        neg = [i for i, (a, _) in enumerate(key) if a > half]
         if not pos:
             assert not neg
             done[key] = done.get(key, 0) + coeff
@@ -487,9 +448,6 @@ class BinomialQuadDatum:
             if (a in self.u) != (b in self.u):
                 raise ValueError(f"edge ({a},{b}) crosses U")
 
-    def is_simple(self) -> bool:
-        return len(self.u) == 4
-
     def recolored(self) -> tuple[GraphKey, GraphKey]:
         move1 = [e for e in self.layer1 if e[0] in self.u]
         keep1 = [e for e in self.layer1 if e[0] not in self.u]
@@ -499,8 +457,7 @@ class BinomialQuadDatum:
 
     @classmethod
     def from_json_dict(cls, obj) -> "BinomialQuadDatum":
-        return cls(json_int(obj["n"], "n"),
-                   frozenset(json_int(v, "U label") for v in obj["U"]),
+        return cls(json_int(obj["n"], "n"), frozenset(json_ints(obj["U"], "U")),
                    matching_key(json_edges(obj["color1"])),
                    matching_key(json_edges(obj["color2"])))
 
@@ -508,11 +465,9 @@ class BinomialQuadDatum:
 def simple_binomial(d: BinomialQuadDatum) -> SymElement:
     """Rel(D) = Y_Gamma - Y_Gamma' with the colors inverted inside U."""
     d.validate()
-    if not d.is_simple():
+    if len(d.u) != 4:
         raise ValueError("datum is not simple (|U| != 4)")
-    g1, g2 = d.recolored()
-    return SymElement.from_terms(
-        d.n, 2, [((d.layer1, d.layer2), 1), ((g1, g2), -1)])
+    return recoloring_relation(d.n, (d.layer1, d.layer2), d.recolored())
 
 
 def simplest_binomial(cycle_a, cycle_b, doubled_rest=()) -> SymElement:
@@ -570,12 +525,6 @@ class GenSegreDatum:
                 "green": matching_key(self.green),
                 "blue": matching_key(self.blue)}
 
-    def part_of(self, v: int) -> str:
-        for name, p in self.parts().items():
-            if v in p:
-                return name
-        raise ValueError(f"label {v} in no part")
-
     def validate(self) -> None:
         parts = self.parts()
         union: set[int] = set()
@@ -587,22 +536,28 @@ class GenSegreDatum:
             total += len(p)
         if union != set(range(1, self.n + 1)) or total != self.n:
             raise ValueError("parts must partition the labels")
-        counts: dict[frozenset[str], int] = {k: 0 for k in self.OPPOSITE}
         for color, layer in self.layers().items():
             _check_layer(self.n, layer, color)
-            for a, b in layer:
-                pa, pb = self.part_of(a), self.part_of(b)
-                if pa == pb:
-                    continue
-                pair = frozenset((pa, pb))
-                counts[pair] += 1
+        cross = self.cross_edges()
+        for pair, edges in cross.items():
+            for color, (a, b) in edges:
                 if color != self.OPPOSITE[pair]:
-                    raise ValueError(
-                        f"edge ({a},{b}) between {pa},{pb} must be "
-                        f"{self.OPPOSITE[pair]}, got {color}")
-        for pair, count in counts.items():
-            if count not in (0, 2):
-                raise ValueError(f"{count} edges between {sorted(pair)}, need 0 or 2")
+                    pa, pb = (name for v in (a, b) for name, p in parts.items() if v in p)
+                    raise ValueError(f"edge ({a},{b}) between {pa},{pb} must be "
+                                     f"{self.OPPOSITE[pair]}, got {color}")
+        for pair, edges in cross.items():
+            if len(edges) not in (0, 2):
+                raise ValueError(f"{len(edges)} edges between {sorted(pair)}, need 0 or 2")
+
+    def cross_edges(self) -> dict[frozenset[str], list[tuple[str, Edge]]]:
+        """The edges between two parts, ``{pair of parts: [(color, edge)]}``."""
+        part = {v: name for name, p in self.parts().items() for v in p}
+        cross: dict[frozenset[str], list] = {k: [] for k in self.OPPOSITE}
+        for color, layer in self.layers().items():
+            for a, b in layer:
+                if part[a] != part[b]:
+                    cross[frozenset((part[a], part[b]))].append((color, (a, b)))
+        return cross
 
     def black_purple(self) -> tuple[GraphKey, GraphKey]:
         """Recolor: own-color edges inside each part go black, the rest purple."""
@@ -620,22 +575,16 @@ class GenSegreDatum:
 
     def is_degenerate(self) -> bool:
         """Missing special pair, or special pairs disconnected inside a part."""
-        parts = self.parts()
-        layers = self.layers()
-        cross: dict[frozenset[str], list] = {k: [] for k in self.OPPOSITE}
-        for layer in layers.values():
-            for a, b in layer:
-                pa, pb = self.part_of(a), self.part_of(b)
-                if pa != pb:
-                    cross[frozenset((pa, pb))].append((a, b))
+        cross = self.cross_edges()
         if any(not v for v in cross.values()):
             return True
-        for name, part in parts.items():
+        layers = self.layers()
+        for name, part in self.parts().items():
             inside = [e for layer in layers.values() for e in layer
                       if e[0] in part and e[1] in part]
             blocks, _ = connected_component_partition(self.n, inside)
             comp_of = {v: i for i, blk in enumerate(blocks) for v in blk}
-            anchors = [{comp_of[v] for e in edges for v in e if v in part}
+            anchors = [{comp_of[v] for _, e in edges for v in e if v in part}
                        for pair, edges in cross.items() if name in pair]
             assert len(anchors) == 2
             if anchors[0].isdisjoint(anchors[1]):
@@ -644,13 +593,20 @@ class GenSegreDatum:
 
     @classmethod
     def from_json_dict(cls, obj) -> "GenSegreDatum":
-        parts = [frozenset(json_int(v, f"{k} label") for v in obj[k])
-                 for k in ("UR", "UG", "UB")]
+        parts = [frozenset(json_ints(obj[k], k)) for k in ("UR", "UG", "UB")]
         n = sum(len(p) for p in parts)
         return cls(n, parts[0], parts[1], parts[2],
                    matching_key(json_edges(obj["red"])),
                    matching_key(json_edges(obj["green"])),
                    matching_key(json_edges(obj["blue"])))
+
+
+def _kempe_lift(n: int, purple, black) -> SymElement:
+    """A lift of X of purple + black: Kempe-factor the purple graph, append the
+    black matching and scale by the black matching's orientation sign."""
+    black = matching_key(black)
+    return append_matching(kempe_factor(n, canonicalize(purple).graph), black) \
+        .scale(orientation_sign(black))
 
 
 def generalized_segre(s: GenSegreDatum) -> SymElement:
@@ -665,8 +621,7 @@ def generalized_segre(s: GenSegreDatum) -> SymElement:
     black, purple = s.black_purple()
     assert all(v == 1 for v in valences(s.n, black)[1:]), "black layer not a matching"
     assert all(v == 2 for v in valences(s.n, purple)[1:]), "purple layer not 2-regular"
-    sign = orientation_sign(black) * _y_product(layers.values())[0]
-    lift = append_matching(kempe_factor(s.n, purple), black).scale(sign)
+    lift = _kempe_lift(s.n, purple, black).scale(_y_product(layers.values())[0])
     lead = SymElement.monomial(s.n, (layers["red"], layers["green"], layers["blue"]))
     return lead - lift
 
@@ -722,8 +677,7 @@ class SquareRotationDatum:
 
     @classmethod
     def from_json_dict(cls, obj) -> "SquareRotationDatum":
-        return cls(json_int(obj["n"], "n"),
-                   tuple(json_int(v, "U label") for v in obj["U"]),
+        return cls(json_int(obj["n"], "n"), tuple(json_ints(obj["U"], "U")),
                    canonicalize(json_edges(obj["purple"])).graph,
                    canonicalize(json_edges(obj["black"])).graph)
 
@@ -732,16 +686,9 @@ def square_rotation(p: SquareRotationDatum) -> SymElement:
     """Append the square swap to the datum and lift both sides to Sym^3."""
     p.validate()
     u1, u2, u3, u4 = p.u
-
-    def side(purple_extra, black_extra):
-        purple = canonicalize(list(p.purple) + purple_extra).graph
-        black = matching_key(list(p.black) + black_extra)
-        return append_matching(kempe_factor(p.n, purple), black) \
-            .scale(orientation_sign(black))
-
-    left = side([(u1, u2), (u3, u4)], [(u1, u4), (u2, u3)])
-    right = side([(u1, u4), (u2, u3)], [(u1, u2), (u3, u4)])
-    return left - right
+    square, rotated = ((u1, u2), (u3, u4)), ((u1, u4), (u2, u3))
+    return _kempe_lift(p.n, p.purple + square, p.black + rotated) \
+        - _kempe_lift(p.n, p.purple + rotated, p.black + square)
 
 
 # --- ideal components, spans, dimensions ---------------------------------------

@@ -164,19 +164,8 @@ def partitions(n: int) -> tuple[PartitionT, ...]:
     """All partitions of n, parts descending, in lexicographic order."""
     if n == 0:
         return ((),)
-    out = []
-
-    def rec(remaining, maxpart, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(min(remaining, maxpart), 0, -1):
-            prefix.append(part)
-            rec(remaining - part, part, prefix)
-            prefix.pop()
-
-    rec(n, n, [])
-    return tuple(sorted(out))
+    return tuple(sorted((k,) + rest for k in range(1, n + 1)
+                        for rest in partitions(n - k) if not rest or rest[0] <= k))
 
 
 def class_size(mu: PartitionT) -> int:
@@ -341,30 +330,17 @@ def even_partitions(n: int) -> tuple[PartitionT, ...]:
 
 @lru_cache(maxsize=None)
 def refines(q: PartitionT, p: PartitionT) -> bool:
-    """q <= p in the refinement order: q can be grouped into blocks summing to p."""
+    """q <= p in the refinement order: the parts of q fill bins of the sizes in p.
+
+    The first part of q goes into each bin with room for it, bins of equal
+    room tried once, and the rest of q into the room left over.
+    """
     if sum(q) != sum(p):
         return False
-    if not p:
-        return not q
-    target = p[0]
-    rest_p = p[1:]
-    items = list(q)
-
-    def pick(idx, remaining, chosen):
-        if remaining == 0:
-            left = list(items)
-            for c in chosen:
-                left.remove(c)
-            return refines(tuple(sorted(left, reverse=True)), rest_p)
-        for i in range(idx, len(items)):
-            if i > idx and items[i] == items[i - 1]:
-                continue
-            if items[i] <= remaining and pick(i + 1, remaining - items[i],
-                                              chosen + [items[i]]):
-                return True
-        return False
-
-    return pick(0, target, [])
+    if not q:
+        return True
+    return any(refines(q[1:], tuple(sorted(p[:j] + (room - q[0],) + p[j + 1:], reverse=True)))
+               for j, room in enumerate(p) if room >= q[0] and room not in p[:j])
 
 
 @lru_cache(maxsize=None)

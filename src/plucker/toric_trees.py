@@ -7,8 +7,8 @@ from each of its leaves; ``build_caterpillar`` documents the numbering.
 
 A weighting assigns a non-negative integer to every edge.  Admissible means
 the triangle inequalities and the even-sum parity condition hold at every
-trinode.  Reduced weightings on caterpillars, and truncation to them, live in
-``toric_rewriting``.
+trinode.  Reduced weightings on caterpillars live in ``toric_rewriting``;
+the truncation to them, which only the tests use, is in ``tests/support.py``.
 """
 
 from __future__ import annotations

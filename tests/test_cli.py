@@ -382,6 +382,25 @@ JSON_SHAPE_ERRORS = [
     (("straighten", '{"n":3}'), "error: graph has no 'edges' field"),
     (("orbit-span", "--element", "[]"), "error: element must be a JSON object, got []"),
     (("orbit-span", "--element", '{"n":8,"degree":2}'), "error: element has no 'terms' field"),
+    # a number where a list belongs, and an edge of the wrong length
+    (("relation", "verify", "simple", "--data", json.dumps(
+        {"n": 8, "U": 3, "color1": [[1, 2], [3, 4], [5, 6], [7, 8]],
+         "color2": [[1, 4], [2, 3], [5, 7], [6, 8]]})), "error: U must be a list, got 3"),
+    (("relation", "verify", "generalized-segre", "--data", json.dumps(
+        {"UR": 1, "UG": [1, 2], "UB": [5, 6], "red": [], "green": [], "blue": []})),
+     "error: UR must be a list, got 1"),
+    (("relation", "verify", "square-rotation", "--data", json.dumps(
+        {"n": 8, "U": 5, "purple": [], "black": []})), "error: U must be a list, got 5"),
+    (("relation", "verify", "simplest", "--data", '{"cycleA":5,"cycleB":[3,4,8,7]}'),
+     "error: cycleA must be a list, got 5"),
+    (("relation", "verify", "simple", "--data", '{"n":8,"U":[5,6,7,8.5]}'),
+     "error: U entry must be an integer, got 8.5"),
+    (("normal-form", '{"r":4,"entries":[{"stalks":3}]}'), "error: stalks must be a list, got 3"),
+    (("normal-form", '{"r":4,"entries":[{"stalks":[1,1,1,1],"bases":2}]}'),
+     "error: bases must be a list, got 2"),
+    (("straighten", '{"n":4,"edges":[[1,2,3]]}'), "error: edge must have 2 labels, got [1, 2, 3]"),
+    (("straighten", '{"n":4,"edges":[5]}'), "error: edge must be a list, got 5"),
+    (("straighten", '{"n":4,"edges":[[1,2.5]]}'), "error: edge entry must be an integer, got 2.5"),
 ]
 
 

@@ -15,6 +15,7 @@ from plucker.figures import (
     square_rotation_even_datum,
 )
 from plucker.graph_core import catalan, enumerate_matchings, noncrossing_matchings
+from plucker.cli import main
 from plucker.invariant_ring import straighten, x_of
 from plucker.relations import (
     BinomialQuadDatum,
@@ -29,6 +30,7 @@ from plucker.relations import (
     ideal_component_dim,
     ideal_kernel_basis,
     in_quadratic_ideal,
+    kempe_factor,
     matching_ids,
     monomial_vector,
     outer_product,
@@ -509,3 +511,90 @@ def test_column_table_follows_sym_basis_order(n, k):
         key = sorted(ids[m] for m in mono)
         for i in range(k):
             assert table[tuple(key[:i] + key[i + 1:])][key[i]] == j
+
+
+# Constructor outputs captured from the code before the relation layers were
+# merged; the element JSON must stay byte-for-byte the same.
+_GS6 = {"UR": [3, 4], "UG": [1, 2], "UB": [5, 6], "red": [[1, 5], [2, 6], [3, 4]],
+        "green": [[1, 2], [3, 5], [4, 6]], "blue": [[1, 3], [2, 4], [5, 6]]}
+_GS8 = {"UR": [3, 4], "UG": [1, 2], "UB": [5, 6, 7, 8],
+        "red": [[1, 2], [3, 4], [5, 6], [7, 8]], "green": [[1, 2], [3, 5], [4, 6], [7, 8]],
+        "blue": [[1, 3], [2, 4], [5, 7], [6, 8]]}
+_SIMPLEST = {"cycleA": [1, 2, 6, 5], "cycleB": [3, 4, 8, 7]}
+_SIMPLE = {"n": 8, "U": [5, 6, 7, 8], "color1": [[1, 2], [3, 4], [5, 6], [7, 8]],
+           "color2": [[1, 4], [2, 3], [5, 7], [6, 8]]}
+_SQUARE = {"n": 8, "U": [1, 2, 3, 4], "purple": [[1, 5], [5, 6], [2, 6], [3, 7], [7, 8], [4, 8]],
+           "black": [[5, 7], [6, 8]]}
+GOLDEN_CONSTRUCTIONS = [
+    ("segre", None,
+     '{"degree":3,"n":6,"terms":[{"coeff":"1","monomial":[[[1,2],[3,4],[5,6]],'
+     '[[1,4],[2,5],[3,6]],'
+     '[[1,6],[2,3],[4,5]]]},{"coeff":"1","monomial":[[[1,2],[3,6],[4,5]],'
+     '[[1,4],[2,3],[5,6]],[[1,6],[2,5],[3,4]]]}]}'),
+    ("segre8", None,
+     '{"degree":3,"n":8,"terms":[{"coeff":"1","monomial":[[[1,2],[3,4],[5,6],[7,8]],'
+     '[[1,4],[2,5],[3,6],[7,8]],'
+     '[[1,6],[2,3],[4,5],[7,8]]]},{"coeff":"1","monomial":[[[1,2],[3,6],[4,5],[7,8]],'
+     '[[1,4],[2,3],[5,6],[7,8]],[[1,6],[2,5],[3,4],[7,8]]]}]}'),
+    ("simplest", _SIMPLEST,
+     '{"degree":2,"n":8,"terms":[{"coeff":"1","monomial":[[[1,2],[3,4],[5,6],[7,8]],'
+     '[[1,5],[2,6],[3,7],[4,8]]]},{"coeff":"-1","monomial":[[[1,2],[3,7],[4,8],[5,6]],'
+     '[[1,5],[2,6],[3,4],[7,8]]]}]}'),
+    ("simplest", {**_SIMPLEST, "doubled_rest": [[9, 10]]},
+     '{"degree":2,"n":10,"terms":[{"coeff":"1","monomial":[[[1,2],[3,4],[5,6],[7,8],[9,10]],'
+     '[[1,5],[2,6],[3,7],[4,8],[9,10]]]},{"coeff":"-1","monomial":[[[1,2],[3,7],[4,8],[5,6],[9,10]],'
+     '[[1,5],[2,6],[3,4],[7,8],[9,10]]]}]}'),
+    ("simple", _SIMPLE,
+     '{"degree":2,"n":8,"terms":[{"coeff":"1","monomial":[[[1,2],[3,4],[5,6],[7,8]],'
+     '[[1,4],[2,3],[5,7],[6,8]]]},{"coeff":"-1","monomial":[[[1,2],[3,4],[5,7],[6,8]],'
+     '[[1,4],[2,3],[5,6],[7,8]]]}]}'),
+    ("generalized-segre", _GS6,
+     '{"degree":3,"n":6,"terms":[{"coeff":"1","monomial":[[[1,2],[3,4],[5,6]],'
+     '[[1,4],[2,6],[3,5]],'
+     '[[1,5],[2,4],[3,6]]]},{"coeff":"-1","monomial":[[[1,2],[3,4],[5,6]],'
+     '[[1,5],[2,6],[3,4]],'
+     '[[1,6],[2,4],[3,5]]]},{"coeff":"1","monomial":[[[1,2],[3,5],[4,6]],'
+     '[[1,3],[2,4],[5,6]],[[1,5],[2,6],[3,4]]]}]}'),
+    ("generalized-segre", _GS8,
+     '{"degree":3,"n":8,"terms":[{"coeff":"1","monomial":[[[1,2],[3,4],[5,6],[7,8]],'
+     '[[1,2],[3,5],[4,6],[7,8]],'
+     '[[1,3],[2,4],[5,7],[6,8]]]},{"coeff":"-1","monomial":[[[1,2],[3,4],[5,7],[6,8]],'
+     '[[1,2],[3,5],[4,6],[7,8]],[[1,3],[2,4],[5,6],[7,8]]]}]}'),
+    ("square-rotation", _SQUARE,
+     '{"degree":3,"n":8,"terms":[{"coeff":"-1","monomial":[[[1,2],[3,4],[5,6],[7,8]],'
+     '[[1,4],[2,3],[5,7],[6,8]],'
+     '[[1,5],[2,6],[3,7],[4,8]]]},{"coeff":"1","monomial":[[[1,2],[3,4],[5,7],[6,8]],'
+     '[[1,4],[2,3],[5,6],[7,8]],[[1,5],[2,6],[3,7],[4,8]]]}]}'),
+]
+GOLDEN_KEMPE = [
+    (4, [(1, 2), (3, 4)],
+     '{"n": 4, "degree": 1, "terms": [{"coeff": "1", "monomial": [[[1, 2], [3, 4]]]}]}'),
+    (4, [(1, 2), (3, 4), (1, 3), (2, 4)],
+     '{"n": 4, "degree": 2, "terms": [{"coeff": "-1", "monomial": [[[1, 2], [3, 4]],'
+     ' [[1, 3], [2, 4]]]}]}'),
+    (6, [(1, 2), (4, 5), (1, 6), (3, 6), (3, 4), (2, 5)],
+     '{"n": 6, "degree": 2, "terms": [{"coeff": "1", "monomial": [[[1, 2], [3, 6], [4, 5]],'
+     ' [[1, 6], [2, 5], [3, 4]]]}]}'),
+    (6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)],
+     '{"n": 6, "degree": 2, "terms": [{"coeff": "1", "monomial": [[[1, 4], [2, 5], [3, 6]],'
+     ' [[1, 4], [2, 5], [3, 6]]]}, {"coeff": "1", "monomial": [[[1, 4], [2, 5], [3, 6]],'
+     ' [[1, 4], [2, 6], [3, 5]]]}, {"coeff": "1", "monomial": [[[1, 4], [2, 5], [3, 6]],'
+     ' [[1, 5], [2, 4], [3, 6]]]}, {"coeff": "1", "monomial": [[[1, 4], [2, 5], [3, 6]],'
+     ' [[1, 6], [2, 5], [3, 4]]]}, {"coeff": "1", "monomial": [[[1, 4], [2, 6], [3, 5]],'
+     ' [[1, 5], [2, 4], [3, 6]]]}, {"coeff": "1", "monomial": [[[1, 4], [2, 6], [3, 5]],'
+     ' [[1, 6], [2, 5], [3, 4]]]}, {"coeff": "1", "monomial": [[[1, 5], [2, 4], [3, 6]],'
+     ' [[1, 6], [2, 5], [3, 4]]]}, {"coeff": "-1", "monomial": [[[1, 5], [2, 6], [3, 4]],'
+     ' [[1, 6], [2, 4], [3, 5]]]}]}'),
+]
+
+
+def test_constructor_outputs_are_pinned(capsys):
+    for kind, data, want in GOLDEN_CONSTRUCTIONS:
+        argv = ["relation", "construct", kind, "--json"]
+        if data is not None:
+            argv += ["--data", json.dumps(data)]
+        assert main(argv) == 0
+        element = json.loads(capsys.readouterr().out)["element"]
+        assert json.dumps(element, separators=(",", ":")) == want, (kind, data)
+    for n, edges, want in GOLDEN_KEMPE:
+        assert kempe_factor(n, edges).to_json() == want, edges

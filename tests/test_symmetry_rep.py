@@ -500,3 +500,43 @@ def test_zero_in_coordinates_does_not_certify(monkeypatch):
     assert project_to_ring(rel).is_zero()
     _no_permutations(monkeypatch)
     assert orbit_span_check(rel) == (0, False)
+
+
+def _partition_count(n: int) -> int:
+    """p(n) by the coin-change recurrence over part sizes 1..n."""
+    ways = [1] + [0] * n
+    for part in range(1, n + 1):
+        for m in range(part, n + 1):
+            ways[m] += ways[m - part]
+    return ways[n]
+
+
+def test_partitions_are_all_partitions_in_lex_order():
+    for n in range(13):
+        parts = partitions(n)
+        assert len(parts) == _partition_count(n)
+        assert all(sum(p) == n and list(p) == sorted(p, reverse=True) and 0 not in p
+                   for p in parts)
+        assert all(a < b for a, b in zip(parts, parts[1:]))
+
+
+def _groupings(items):
+    """Every set partition of ``items`` (a list), as a list of blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for blocks in _groupings(rest):
+        yield [[first]] + blocks
+        for i in range(len(blocks)):
+            yield blocks[:i] + [[first] + blocks[i]] + blocks[i + 1:]
+
+
+def test_refines_matches_the_grouping_oracle():
+    # q <= p iff some grouping of q's parts has block sums equal to p's parts
+    for n in range(9):
+        for q in partitions(n):
+            reachable = {tuple(sorted((sum(b) for b in blocks), reverse=True))
+                         for blocks in _groupings(list(q))}
+            for p in partitions(n):
+                assert refines(q, p) == (p in reachable), (q, p)
