@@ -30,6 +30,7 @@ from .invariant_ring import (
     FuelExhausted,
     PointConfig,
     RingElement,
+    check_trace_cells,
     evaluate,
     hilbert_dim,
     straighten,
@@ -40,6 +41,7 @@ from .relations import (
     GenSegreDatum,
     SquareRotationDatum,
     SymElement,
+    check_work,
     evaluate_sym,
     ideal_component_dim,
     project_to_ring,
@@ -116,7 +118,23 @@ def cmd_hilbert(args) -> int:
 ROUND_TRIP_WEIGHTINGS = 60_000
 
 
+def _tree_dp_updates(r: int, d: int) -> int:
+    """Coefficient updates of the count DP on the r-th Y-tree at degree d: a
+    trinode joining weights w1, w2 makes min(w1, w2) + 1.  From leaf 1, r - 1
+    Y's join d with d, base vertex r - m joins 0..2d with 0..2dm (m = 1..r - 2)
+    and the root joins d with 0..2d(r - 1); these sums have closed forms."""
+    m, t, h = r - 2, (r - 2) * (r - 1) // 2, d // 2
+    return ((r - 1) * (d + 1)
+            + (d + 1) * (d * t + m) + d * (d + 1) * (3 * d * t + m * (1 - d)) // 3
+            + (h + 1) ** 2 + (d * (r - 1) - h) * (d + 1))
+
+
 def cmd_toric(args) -> int:
+    # a tree vertex costs about 6 us and 1 KB; the DP's updates are degree_trace's
+    check_work(f"the Y-tree at r={args.r}", 4 * args.r - 2)
+    if args.action != "greedy" and args.r >= 3 and args.degree >= 0:
+        check_trace_cells(f"the tree DP at r={args.r}, degree {args.degree}",
+                          _tree_dp_updates(args.r, args.degree))
     tree = toric_trees.build_y_tree(args.r)
     if args.action == "count":
         count = toric_trees.count_admissible_regular(tree, args.degree)
@@ -173,7 +191,7 @@ _FIXED_RELATIONS = {"segre": segre_cubic, "segre8": segre8}
 _BUILTIN_RELATIONS = {
     "simplest": lambda data: simplest_binomial(
         tuple(json_ints(data["cycleA"], "cycleA")), tuple(json_ints(data["cycleB"], "cycleB")),
-        json_edges(data.get("doubled_rest", []))),
+        json_edges(data.get("doubled_rest", []), "doubled_rest")),
     "simple": lambda data: simple_binomial(
         BinomialQuadDatum.from_json_dict(data)),
     "generalized-segre": lambda data: generalized_segre(

@@ -286,9 +286,9 @@ def json_ints(value, what: str) -> list[int]:
     return [json_int(v, f"{what} entry") for v in json_list(value, what)]
 
 
-def json_edges(edges) -> list[Edge]:
-    """Edges ``[[a, b], ...]`` read from JSON, each a list of two integers."""
-    out = [tuple(json_ints(e, "edge")) for e in json_list(edges, "edges")]
+def json_edges(edges, what: str) -> list[Edge]:
+    """Edges ``[[a, b], ...]`` of the JSON field ``what``, each two integers."""
+    out = [tuple(json_ints(e, "edge")) for e in json_list(edges, what)]
     for e in out:
         if len(e) != 2:
             raise ValueError(f"edge must have 2 labels, got {list(e)}")
@@ -322,7 +322,7 @@ def parse_graph_json(text: str) -> tuple[int, list[Edge]]:
     """JSON mirror of the text format: ``{"n":8,"edges":[[1,2],[3,4]]}``."""
     obj = json_object(json.loads(text), "graph")
     n = json_int(obj["n"], "n")
-    edges = json_edges(obj["edges"])
+    edges = json_edges(obj["edges"], "edges")
     check_labels(n, edges)
     return n, edges
 

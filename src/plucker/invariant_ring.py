@@ -258,7 +258,7 @@ class RingElement(Combination):
         items = []
         for t in json_list(obj["terms"], "terms"):
             t = json_object(t, "term")
-            edges = json_edges(t["edges"])
+            edges = json_edges(t["edges"], "edges")
             check_labels(n, edges)
             cf = canonicalize(edges)
             items.append((cf.graph, json_coeff(t["coeff"]) * cf.sign))
@@ -333,6 +333,13 @@ def evaluate(e: RingElement, p: PointConfig) -> Fraction:
 TRACE_CELLS = 10_000_000
 
 
+def check_trace_cells(what: str, cells: int) -> None:
+    """Raise ``ValueError`` when ``what`` needs over ``TRACE_CELLS`` updates."""
+    if cells > TRACE_CELLS:
+        raise ValueError(f"{what} needs {cells} coefficient updates, "
+                         f"over the limit of {TRACE_CELLS}")
+
+
 def degree_trace(mu: tuple[int, ...], k: int) -> int:
     """tr(sigma | R_k) for sigma of cycle type ``mu``, by the SL_2 weight count.
 
@@ -349,12 +356,8 @@ def degree_trace(mu: tuple[int, ...], k: int) -> int:
     if n * k % 2:
         return 0
     mid = n * k // 2
-    size = mid + 2
-    if len(mu) * size > TRACE_CELLS:
-        raise ValueError(f"the trace at n={n}, k={k} over {len(mu)} cycles "
-                         f"needs {len(mu) * size} coefficient updates, over "
-                         f"the limit of {TRACE_CELLS}")
-    coeffs = [1] + [0] * (size - 1)
+    check_trace_cells(f"the trace at n={n}, k={k} over {len(mu)} cycles", len(mu) * (mid + 2))
+    coeffs = [1] + [0] * (mid + 1)
     for c in mu:
         step = c * (k + 1)
         coeffs[step:] = [a - b for a, b in zip(coeffs[step:], coeffs)]
@@ -368,8 +371,10 @@ def hilbert_dim(n: int, d: int) -> int:
     graphs on 1..n, counted as ``degree_trace`` at the identity.
 
     Raises ``ValueError`` unless n is even and at least 2 and d >= 0, or when
-    the count is over ``degree_trace``'s size limit.
+    the count is over ``degree_trace``'s size limit, checked before the n
+    cycles are listed.
     """
     if n < 2 or n % 2 or d < 0:
         raise ValueError(f"need even n >= 2 and d >= 0, got n={n}, d={d}")
+    check_trace_cells(f"the trace at n={n}, k={d} over {n} cycles", n * (n * d // 2 + 2))
     return degree_trace((1,) * n, d)

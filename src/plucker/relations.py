@@ -26,13 +26,14 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import comb, lcm, prod
 
 from . import exact_linalg
 from .graph_core import (
     Edge,
     GraphKey,
     canonicalize,
+    catalan,
     connected_component_partition,
     enumerate_noncrossing_regular,
     is_regular,
@@ -110,7 +111,7 @@ class SymElement(Combination):
         items = []
         for t in json_list(obj["terms"], "terms"):
             t = json_object(t, "term")
-            mono = tuple(tuple(json_edges(m)) for m in json_list(t["monomial"], "monomial"))
+            mono = tuple(json_edges(m, "layer") for m in json_list(t["monomial"], "monomial"))
             items.append((mono, json_coeff(t["coeff"])))
         return cls.from_terms(json_int(obj["n"], "n"),
                               json_int(obj["degree"], "degree"), items)
@@ -458,8 +459,8 @@ class BinomialQuadDatum:
     @classmethod
     def from_json_dict(cls, obj) -> "BinomialQuadDatum":
         return cls(json_int(obj["n"], "n"), frozenset(json_ints(obj["U"], "U")),
-                   matching_key(json_edges(obj["color1"])),
-                   matching_key(json_edges(obj["color2"])))
+                   matching_key(json_edges(obj["color1"], "color1")),
+                   matching_key(json_edges(obj["color2"], "color2")))
 
 
 def simple_binomial(d: BinomialQuadDatum) -> SymElement:
@@ -596,9 +597,9 @@ class GenSegreDatum:
         parts = [frozenset(json_ints(obj[k], k)) for k in ("UR", "UG", "UB")]
         n = sum(len(p) for p in parts)
         return cls(n, parts[0], parts[1], parts[2],
-                   matching_key(json_edges(obj["red"])),
-                   matching_key(json_edges(obj["green"])),
-                   matching_key(json_edges(obj["blue"])))
+                   matching_key(json_edges(obj["red"], "red")),
+                   matching_key(json_edges(obj["green"], "green")),
+                   matching_key(json_edges(obj["blue"], "blue")))
 
 
 def _kempe_lift(n: int, purple, black) -> SymElement:
@@ -678,8 +679,8 @@ class SquareRotationDatum:
     @classmethod
     def from_json_dict(cls, obj) -> "SquareRotationDatum":
         return cls(json_int(obj["n"], "n"), tuple(json_ints(obj["U"], "U")),
-                   canonicalize(json_edges(obj["purple"])).graph,
-                   canonicalize(json_edges(obj["black"])).graph)
+                   canonicalize(json_edges(obj["purple"], "purple")).graph,
+                   canonicalize(json_edges(obj["black"], "black")).graph)
 
 
 def square_rotation(p: SquareRotationDatum) -> SymElement:
@@ -693,11 +694,27 @@ def square_rotation(p: SquareRotationDatum) -> SymElement:
 
 # --- ideal components, spans, dimensions ---------------------------------------
 
-def _check_feasible(n: int, k: int) -> None:
-    if n % 2 or k < 1:
-        raise ValueError("need even n and k >= 1")
-    if (k <= 2 and n > 10) or (k == 3 and n > 8) or k > 3:
-        raise ValueError(f"(n={n}, k={k}) exceeds the feasibility guard")
+# One unit is one edge of a graph the work builds or one cell of a span it
+# grows; each took 3.6-11 us near this many (2-vCPU VM, Python 3.11.7).
+WORK_BUDGET = 250_000
+
+
+def check_work(what: str, units: int) -> int:
+    """``units``, or ``ValueError`` with the estimate when over ``WORK_BUDGET``."""
+    if units > WORK_BUDGET:
+        raise ValueError(f"{what} needs {units} units of work, over the budget of {WORK_BUDGET}")
+    return units
+
+
+def sym_work(n: int, k: int) -> int:
+    """Units to build Sym^k at n, or ``ValueError`` over ``WORK_BUDGET``: kn/2 edges
+    for each of the C(n, 2) (k + 1)^2 entries of the row enumeration's table,
+    checked first, and of the C(Catalan(n/2) + k - 1, k) columns."""
+    if n < 2 or n % 2 or k < 1:
+        raise ValueError(f"need even n >= 2 and k >= 1, got n={n}, k={k}")
+    what, edges = f"Sym^{k} at n={n}", k * n // 2
+    table = check_work(what, comb(n, 2) * (k + 1) ** 2 * edges)
+    return check_work(what, table + comb(catalan(n // 2) + k - 1, k) * edges)
 
 
 @lru_cache(maxsize=None)
@@ -705,9 +722,10 @@ def relation_matrix(n: int, k: int) -> exact_linalg.QMatrix:
     """Matrix of the projection Sym^k(V) -> R^(k) in the canonical bases.
 
     Rows: non-crossing k-regular graphs (lex order).  Columns: sorted
-    monomial multisets of non-crossing matchings (lex order).
+    monomial multisets of non-crossing matchings (lex order).  Refused
+    before any work over ``WORK_BUDGET`` by ``sym_work``.
     """
-    _check_feasible(n, k)
+    sym_work(n, k)
     rows = enumerate_noncrossing_regular(n, k)
     row_index = {g: i for i, g in enumerate(rows)}
     basis = sym_basis(n, k)
@@ -721,7 +739,7 @@ def relation_matrix(n: int, k: int) -> exact_linalg.QMatrix:
 
 @lru_cache(maxsize=None)
 def ideal_component_dim(n: int, k: int) -> int:
-    """dim I^(k) = dim Sym^k(V) - dim R^(k), by exact kernel rank."""
+    """dim I^(k) = dim Sym^k(V) - dim R^(k), by exact rank within ``WORK_BUDGET``."""
     m = relation_matrix(n, k)
     return m.cols - exact_linalg.rank(m)
 
@@ -739,8 +757,7 @@ def _quadratic_ideal_span(n: int):
     span's reductions and ``matvec`` on them run on ``int``s.  Shared by
     every caller; none may add to the span or change a vector.
     """
-    if n > 8:
-        raise ValueError("feasibility guard: n <= 8")
+    sym_work(n, 3)  # there are at most as many multiples as Sym^3 columns
     quads = ideal_kernel_basis(n, 2)
     ids, table = matching_ids(n), _column_table(n, 3)
     times = [table[ids[a], ids[b]] for a, b in sym_basis(n, 2)]

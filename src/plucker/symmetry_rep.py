@@ -11,9 +11,9 @@ orbit span is grown as the closure of the relation under the two
 generators (1 2) and (1 2 ... n) of S_n, in one exact span, until it is
 stable or reaches dim I^(k); no permutation outside the two is tried.  For
 n <= 6, I^(2) = 0 and every relation is zero in coordinates.  I^(2)_12 has
-two irreducible parts, so the certificate would not apply there; the
-feasibility guard of ``ideal_component_dim`` refuses n = 12 before either
-route.
+two irreducible parts, so the certificate does not apply there; the closure's
+4565 x 8778 span cells (293 s, 158 MB on a 2-vCPU VM) are over ``WORK_BUDGET``,
+so it is refused before the first image.
 
 Characters of the induced actions on V, Sym^2(V), Lambda^2(V), R^(2) and
 I^(2) come from one trace formula, ``invariant_ring.degree_trace`` (the
@@ -37,19 +37,21 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from . import exact_linalg
 from .graph_core import canonicalize, enumerate_matchings, perm_sign_of_map
 from .invariant_ring import RingElement, degree_trace
 from .relations import (
     SymElement,
+    check_work,
     component_partition_of_monomial,
     coords_vector,
     ideal_component_dim,
     monomial_vector,
     project_to_ring,
     sym_basis,
+    sym_work,
 )
 
 Perm = dict[int, int]
@@ -117,12 +119,15 @@ def orbit_closure(rel: SymElement, target: int) -> exact_linalg.IncrementalSpan:
     pass adds nothing.  Each kept image then maps into the span under both
     generators, so the span is stable under S_n and is the orbit span.  It
     stops early once its dimension reaches ``target``; at most two images
-    are tried per dimension.
+    are tried per dimension.  Refused when target x columns span cells are
+    over ``WORK_BUDGET``.
     """
     n = rel.n
+    columns = len(sym_basis(n, rel.degree))
+    check_work(f"the orbit span at n={n}, degree {rel.degree}", target * columns)
     generators = ({1: 2, 2: 1} | {i: i for i in range(3, n + 1)},
                   {i: i % n + 1 for i in range(1, n + 1)})
-    span = exact_linalg.IncrementalSpan(len(sym_basis(n, rel.degree)))
+    span = exact_linalg.IncrementalSpan(columns)
     frontier = [rel] if span.add(coords_vector(rel)) else []
     while frontier and span.dim < target:
         grown = []
@@ -351,11 +356,15 @@ def _group_bases(n: int) -> dict[PartitionT, tuple[dict[int, int], ...]]:
     Y-basis expansions, and added to its group's span; a group stops once it
     spans all of Sym^3.  The values are the pivot rows, keyed by the group's
     component partition.  Shared by every caller; none may change a row.
+    Each monomial is 3n/2 units of ``WORK_BUDGET``.
     """
+    sym_work(n, 3)  # bounds n before its (n - 1)!! matchings are listed
+    matchings = enumerate_matchings(n)
+    check_work(f"the partition filtration at n={n}", comb(len(matchings) + 2, 3) * 3 * n // 2)
     full = len(sym_basis(n, 3))
     spans: dict[PartitionT, exact_linalg.IncrementalSpan] = \
         defaultdict(lambda: exact_linalg.IncrementalSpan(full))
-    for mono in itertools.combinations_with_replacement(enumerate_matchings(n), 3):
+    for mono in itertools.combinations_with_replacement(matchings, 3):
         span = spans[component_partition_of_monomial(n, mono)]
         if span.dim < full:
             span.add(monomial_vector(n, mono))
@@ -379,20 +388,20 @@ def filtration_dim(n: int, p: PartitionT) -> int:
 
 
 def gr_dim(n: int, p) -> int:
-    """dim of the associated graded piece gr_p(Sym^3 V) for n in {4, 6}.
+    """dim of the associated graded piece gr_p(Sym^3 V).
 
     Quotient of F_p by the joint span of all F_q with q strictly finer; if
     several incomparable q sit below p, all of them are subtracted.  F_p is
     the span of the groups q <= p, so each group adds its cached basis.
+    Refused over ``WORK_BUDGET`` (n >= 8) before any partition is listed.
     """
-    if n not in (4, 6):
-        raise ValueError("feasibility guard: n in {4, 6}")
+    bases = _group_bases(n)
     p = tuple(sorted(p, reverse=True))
     if p not in even_partitions(n):
         raise ValueError(f"{p} is not an even partition of {n}")
     below = [q for q in even_partitions(n) if q != p and refines(q, p)]
     span = filtration_span(n, below)
     dim_below = span.dim
-    for row in _group_bases(n).get(p, ()):
+    for row in bases.get(p, ()):
         span.add(row)
     return span.dim - dim_below

@@ -1,12 +1,23 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import jsonschema
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import plucker
-from plucker.cli import EXIT_CRITERION_FAILED, EXIT_FUEL, EXIT_PARSE, ROUND_TRIP_WEIGHTINGS, main
+from plucker.cli import (
+    EXIT_CRITERION_FAILED,
+    EXIT_FUEL,
+    EXIT_OK,
+    EXIT_PARSE,
+    ROUND_TRIP_WEIGHTINGS,
+    main,
+)
 from plucker.invariant_ring import hilbert_dim
 
 # The JSON contract of the CLI: every --json payload names its command, and
@@ -119,6 +130,7 @@ BAD_USER_INPUTS = [
     ("decompose", "-2", "V"),
     ("decompose", "16", "V"),
     ("hilbert", "2", "1000000000"),
+    ("hilbert", "1000000000000", "0"),  # refused before the 10**12 cycles are listed
     ("toric", "count", "--r", "4", "--degree", "-1"),
     ("toric", "round-trip", "--r", "3", "--degree", "-1"),
     # normal forms need r >= 4: at r = 3 the dealt form can miss the sum
@@ -140,6 +152,17 @@ BAD_USER_INPUTS = [
     ("normal-form", '{"r":4,"entries":{}}'),
     ("relation", "construct", "simplest", "--data",
      '{"cycleA":[1,2,6,5],"cycleB":[3,4,8,7],"doubled_rest":{}}'),
+    # over the work budget, refused before the work starts
+    ("ideal-dim", "12", "3"),
+    ("ideal-dim", "2", "1000"),
+    ("orbit-span", "--element", json.dumps({"n": 12, "degree": 2, "terms": [
+        {"coeff": "1", "monomial": [[[1, 2], [3, 4], [5, 6], [7, 8], [9, 10], [11, 12]],
+                                    [[1, 5], [2, 6], [3, 7], [4, 8], [9, 10], [11, 12]]]},
+        {"coeff": "-1", "monomial": [[[1, 2], [3, 7], [4, 8], [5, 6], [9, 10], [11, 12]],
+                                     [[1, 5], [2, 6], [3, 4], [7, 8], [9, 10], [11, 12]]]}]})),
+    ("toric", "count", "--r", "4000", "--degree", "1"),
+    ("toric", "count", "--r", "4", "--degree", "100000"),
+    ("toric", "greedy", "--r", "100000000", "--graph", "n=4; edges=1-2,3-4"),
 ]
 
 # Bad values that no command can build, passed to the library directly; each
@@ -401,12 +424,48 @@ JSON_SHAPE_ERRORS = [
     (("straighten", '{"n":4,"edges":[[1,2,3]]}'), "error: edge must have 2 labels, got [1, 2, 3]"),
     (("straighten", '{"n":4,"edges":[5]}'), "error: edge must be a list, got 5"),
     (("straighten", '{"n":4,"edges":[[1,2.5]]}'), "error: edge entry must be an integer, got 2.5"),
+    # a whole edge list of the wrong type names its field
+    (("relation", "verify", "simple", "--data",
+      '{"n":8,"U":[5,6,7,8],"color1":3,"color2":[]}'), "error: color1 must be a list, got 3"),
+    (("relation", "verify", "simple", "--data",
+      '{"n":8,"U":[5,6,7,8],"color1":[[1,2],[3,4],[5,6],[7,8]],"color2":"x"}'),
+     "error: color2 must be a list, got 'x'"),
+    (("relation", "verify", "square-rotation", "--data",
+      '{"n":8,"U":[1,2,3,4],"purple":[],"black":{}}'), "error: black must be a list, got {}"),
+    (("relation", "verify", "square-rotation", "--data",
+      '{"n":8,"U":[1,2,3,4],"purple":7,"black":[]}'), "error: purple must be a list, got 7"),
+    (("relation", "verify", "simplest", "--data",
+      '{"cycleA":[1,2,6,5],"cycleB":[3,4,8,7],"doubled_rest":5}'),
+     "error: doubled_rest must be a list, got 5"),
+    (("relation", "verify", "generalized-segre", "--data",
+      '{"UR":[1,2],"UG":[3,4],"UB":[5,6],"red":1,"green":[],"blue":[]}'),
+     "error: red must be a list, got 1"),
+    (("relation", "verify", "generalized-segre", "--data",
+      '{"UR":[1,2],"UG":[3,4],"UB":[5,6],"red":[],"green":2,"blue":[]}'),
+     "error: green must be a list, got 2"),
+    (("relation", "verify", "generalized-segre", "--data",
+      '{"UR":[1,2],"UG":[3,4],"UB":[5,6],"red":[],"green":[],"blue":3}'),
+     "error: blue must be a list, got 3"),
+    (("straighten", '{"n":4,"edges":5}'), "error: edges must be a list, got 5"),
+    (("orbit-span", "--element", '{"n":4,"degree":1,"terms":[{"coeff":"1","monomial":[5]}]}'),
+     "error: layer must be a list, got 5"),
 ]
 
 
 def test_json_shape_errors_name_the_field(capsys):
     for argv, message in JSON_SHAPE_ERRORS:
         assert run(capsys, *argv) == (EXIT_PARSE, "", message + "\n"), argv
+
+
+def test_refusals_name_the_estimate_and_the_limit(capsys):
+    assert run(capsys, "ideal-dim", "12", "3") == (EXIT_PARSE, "", (
+        "error: Sym^3 at n=12 needs 7076520 units of work, over the budget of 250000\n"))
+    assert run(capsys, "toric", "count", "--r", "4000", "--degree", "1") == (EXIT_PARSE, "", (
+        "error: the tree DP at r=4000, degree 1 needs 31999997 coefficient updates, "
+        "over the limit of 10000000\n"))
+    assert run(capsys, "toric", "greedy", "--r", "100000000", "--graph", "n=4; edges=1-2") == (
+        EXIT_PARSE, "", "error: the Y-tree at r=100000000 needs 399999998 units of work, "
+        "over the budget of 250000\n")
 
 
 def test_fixed_relations_refuse_data(capsys):
@@ -483,3 +542,34 @@ def test_fuel_exit_code(capsys, monkeypatch):
         assert code == EXIT_FUEL and "internal error" in err
     finally:
         ir.GLOBAL_CACHE.clear()
+
+
+# Integer arguments, small (-3..30) or huge (|x| up to 10**12).  An admitted
+# round trip visits every weighting, about 0.2 ms each (r = 6, degree 3 has
+# 52,844 and takes 10-14 s), so draws with more than 2,000 are left out.
+_INTEGER = st.integers(-3, 30) | st.integers(-10**12, 10**12)
+
+
+def _short_round_trip(argv) -> bool:
+    _, action, _, r, _, d = argv
+    return (action != "round-trip" or not (3 <= r <= 30 and 0 <= d <= 30)
+            or not 2_000 < hilbert_dim(2 * r, d) <= ROUND_TRIP_WEIGHTINGS)
+
+
+_INTEGER_ARGV = st.one_of(
+    st.tuples(st.sampled_from(("ideal-dim", "hilbert")), _INTEGER, _INTEGER),
+    st.tuples(st.just("decompose"), _INTEGER, st.just("I2")),
+    st.tuples(st.just("toric"), st.sampled_from(("count", "round-trip")),
+              st.just("--r"), _INTEGER, st.just("--degree"), _INTEGER)
+    .filter(_short_round_trip),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_INTEGER_ARGV)
+def test_integer_arguments_answer_or_exit_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    assert code in (EXIT_OK, EXIT_CRITERION_FAILED, EXIT_PARSE), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -18,6 +19,7 @@ from plucker.graph_core import catalan, enumerate_matchings, noncrossing_matchin
 from plucker.cli import main
 from plucker.invariant_ring import straighten, x_of
 from plucker.relations import (
+    WORK_BUDGET,
     BinomialQuadDatum,
     GenSegreDatum,
     SquareRotationDatum,
@@ -43,9 +45,10 @@ from plucker.relations import (
     simplest_binomial,
     square_rotation,
     sym_basis,
+    sym_work,
 )
 from plucker.reports import random_config
-from plucker.symmetry_rep import act_ring, act_sym, orbit_span_check
+from plucker.symmetry_rep import act_ring, act_sym, gr_dim, orbit_span_check
 from support import multiply, to_coords, y_of
 
 
@@ -302,12 +305,43 @@ def test_ideal_dimensions_and_guards():
     assert ideal_component_dim(6, 2) == 0
     assert ideal_component_dim(8, 2) == 14
     assert ideal_component_dim(6, 3) == 1
-    with pytest.raises(ValueError):
-        ideal_component_dim(12, 2)
-    with pytest.raises(ValueError):
-        ideal_component_dim(10, 3)
-    with pytest.raises(ValueError):
-        quadratic_ideal_component(10)
+    # within the work budget: I2_12, I3_10, and Q3_10 = I3_10, the source
+    # paper's "quadrics generate the ideal" in degree 3 at n = 10
+    assert ideal_component_dim(12, 2) == 4565
+    assert ideal_component_dim(10, 3) == 8975
+    assert quadratic_ideal_component(10)[1] == 8975
+
+
+def _v12():
+    return simplest_binomial((1, 2, 6, 5), (3, 4, 8, 7), doubled_rest=((9, 10), (11, 12)))
+
+
+@pytest.mark.parametrize("call, estimate", [
+    (lambda: ideal_component_dim(8, 6), 684096),
+    (lambda: ideal_component_dim(14, 2), 1302756),
+    (lambda: ideal_component_dim(12, 3), 7076520),
+    (lambda: ideal_component_dim(4, 200), 96962400),
+    (lambda: ideal_component_dim(2, 1000), 1002001000),
+    (lambda: quadratic_ideal_component(12), 7076520),
+    (lambda: gr_dim(8, (2, 2, 2, 2)), 2381820),
+    (lambda: orbit_span_check(_v12()), 4565 * 8778),
+])
+def test_over_the_budget_is_refused_before_the_work(call, estimate):
+    ideal_component_dim(12, 2)  # the orbit span's target, computed first
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as refusal:  # not a RecursionError
+        call()
+    assert time.perf_counter() - start < 1.0
+    assert f"needs {estimate} units of work, over the budget of {WORK_BUDGET}" \
+        in str(refusal.value)
+
+
+def test_sym_work_counts_edges_and_checks_its_input():
+    # (C(n, 2) (k + 1)^2 + C(Catalan(n/2) + k - 1, k)) kn/2
+    assert (sym_work(12, 2), sym_work(10, 3), sym_work(8, 5)) == (112464, 209460, 191520)
+    for n, k in ((0, 1), (-4, 2), (7, 1), (6, 0)):
+        with pytest.raises(ValueError, match="need even n >= 2 and k >= 1"):
+            sym_work(n, k)
 
 
 def test_ideal_kernel_is_segre_at_6_3():
