@@ -25,6 +25,7 @@ from .graph_core import (
     json_object,
     parse_graph,
     parse_graph_json,
+    read_json,
 )
 from .invariant_ring import (
     FuelExhausted,
@@ -72,13 +73,12 @@ def _read_arg(text: str) -> str:
 def parse_element(text: str) -> RingElement:
     """Accept graph text, graph JSON, or ring-element JSON."""
     text = _read_arg(text).strip()
-    if text.startswith("{"):
-        if "terms" in json.loads(text):
-            return RingElement.from_json(text)
-        n, edges = parse_graph_json(text)
-    else:
-        n, edges = parse_graph(text)
-    return x_of(n, edges)
+    if not text.startswith("{"):
+        return x_of(*parse_graph(text))
+    value = read_json(text, "element")
+    if "terms" in value:
+        return RingElement.from_json(value)
+    return x_of(*parse_graph_json(value))
 
 
 def _print(payload: dict, as_json: bool, text: str | None = None) -> None:
@@ -88,8 +88,8 @@ def _print(payload: dict, as_json: bool, text: str | None = None) -> None:
 def cmd_straighten(args) -> int:
     e = parse_element(args.element)
     result = straighten(e)
-    payload = {"command": "straighten", "input": json.loads(e.to_json()),
-               "output": json.loads(result.to_json())}
+    payload = {"command": "straighten", "input": read_json(e.to_json(), "element"),
+               "output": read_json(result.to_json(), "element")}
     lines = [f"{c} * X{list(map(list, k))}" for k, c in sorted(result.terms.items())]
     _print(payload, args.json, "\n".join(lines) or "0")
     return EXIT_OK
@@ -97,7 +97,12 @@ def cmd_straighten(args) -> int:
 
 def cmd_evaluate(args) -> int:
     e = parse_element(args.element)
-    xs = [int(v) for v in args.points.split(",")]
+    xs = []
+    for v in args.points.split(","):
+        try:
+            xs.append(int(v))
+        except ValueError:
+            raise ValueError(f"point of --points must be an integer, got {v!r}") from None
     if len(xs) != e.n:
         raise ValueError(f"need {e.n} points, got {len(xs)}")
     value = evaluate(e, PointConfig.from_integers(xs))
@@ -168,7 +173,7 @@ def cmd_toric(args) -> int:
 
 
 def _parse_cat_tuple(text: str):
-    obj = json_object(json.loads(_read_arg(text)), "tuple")
+    obj = read_json(_read_arg(text), "tuple")
     r = json_int(obj["r"], "r")
     entries = [json_object(ent, "entry") for ent in json_list(obj["entries"], "entries")]
     return tuple(toric_rewriting.CatWeighting(r, tuple(json_ints(ent["stalks"], "stalks")),
@@ -213,10 +218,10 @@ def cmd_relation(args) -> int:
             raise ValueError(f"{args.kind} takes no --data")
         rel = _FIXED_RELATIONS[args.kind]()
     else:
-        data = json.loads(_read_arg(args.data)) if args.data else {}
-        rel = _BUILTIN_RELATIONS[args.kind](json_object(data, f"{args.kind} datum"))
+        data = read_json(_read_arg(args.data) if args.data else {}, f"{args.kind} datum")
+        rel = _BUILTIN_RELATIONS[args.kind](data)
     payload = {"command": "relation", "kind": args.kind,
-               "element": json.loads(rel.to_json())}
+               "element": read_json(rel.to_json(), "element")}
     if args.action == "construct":
         _print(payload, args.json, rel.to_json())
         return EXIT_OK

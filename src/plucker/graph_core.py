@@ -268,14 +268,26 @@ def json_object(value, what: str) -> dict:
 
     Reading a key it lacks raises ``ValueError`` with the key's name.
     """
-    if type(value) is not dict:
+    if not isinstance(value, dict):
         raise ValueError(f"{what} must be a JSON object, got {value!r}")
     return _JsonObject(value, what)
 
 
+def read_json(text: str | dict, what: str) -> dict:
+    """The JSON object of the argument ``what``, given as text or as a dict: the
+    one reader of JSON, where JSON too deep for the parser is bad input too."""
+    if type(text) is str:
+        try:
+            text = json.loads(text)
+        except RecursionError:
+            raise ValueError(f"{what} is nested too deeply to read") from None
+    return json_object(text, what)
+
+
 def json_coeff(value) -> Fraction:
-    """An exact coefficient read from JSON: a fraction string or an integer."""
-    if type(value) is not str and type(value) is not int:
+    """An exact coefficient read from JSON: an integer, or a fraction string with no
+    exponent, which ``Fraction`` would expand into all its digits."""
+    if type(value) is not int and (type(value) is not str or "e" in value.lower()):
         raise ValueError(f"coefficient must be a fraction string or an integer, "
                          f"got {value!r}")
     return Fraction(value)
@@ -312,16 +324,21 @@ def parse_graph(text: str) -> tuple[int, list[Edge]]:
     edges: list[Edge] = []
     if body:
         for part in body.split(","):
-            a, b = part.strip().split("-")
-            edges.append((int(a), int(b)))
+            try:
+                a, b = map(int, part.split("-"))
+            except ValueError:
+                raise ValueError(f"edge {part.strip()!r} is not a-b with integer labels") from None
+            edges.append((a, b))
     check_labels(n, edges)
     return n, edges
 
 
-def parse_graph_json(text: str) -> tuple[int, list[Edge]]:
+def parse_graph_json(text: str | dict) -> tuple[int, list[Edge]]:
     """JSON mirror of the text format: ``{"n":8,"edges":[[1,2],[3,4]]}``."""
-    obj = json_object(json.loads(text), "graph")
+    obj = read_json(text, "graph")
     n = json_int(obj["n"], "n")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     edges = json_edges(obj["edges"], "edges")
     check_labels(n, edges)
     return n, edges

@@ -41,6 +41,7 @@ from .graph_core import (
     json_int,
     json_list,
     json_object,
+    read_json,
 )
 
 # One straighten() call may not exceed this many Plucker rewrites; hitting the
@@ -252,9 +253,11 @@ class RingElement(Combination):
         return json.dumps({"n": self.n, "terms": terms})
 
     @classmethod
-    def from_json(cls, text: str) -> "RingElement":
-        obj = json_object(json.loads(text), "element")
+    def from_json(cls, text: str | dict) -> "RingElement":
+        obj = read_json(text, "element")
         n = json_int(obj["n"], "n")
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
         items = []
         for t in json_list(obj["terms"], "terms"):
             t = json_object(t, "term")

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -34,6 +35,7 @@ from .graph_core import (
     GraphKey,
     canonicalize,
     catalan,
+    check_labels,
     connected_component_partition,
     enumerate_noncrossing_regular,
     is_regular,
@@ -46,6 +48,7 @@ from .graph_core import (
     matching_key,
     noncrossing_matchings,
     orientation_sign,
+    read_json,
     valences,
 )
 from .invariant_ring import Combination, RingElement, evaluate, straighten, straighten_graph
@@ -107,14 +110,13 @@ class SymElement(Combination):
 
     @classmethod
     def from_json(cls, text: str) -> "SymElement":
-        obj = json_object(json.loads(text), "element")
+        obj = read_json(text, "element")
         items = []
         for t in json_list(obj["terms"], "terms"):
             t = json_object(t, "term")
             mono = tuple(json_edges(m, "layer") for m in json_list(t["monomial"], "monomial"))
             items.append((mono, json_coeff(t["coeff"])))
-        return cls.from_terms(json_int(obj["n"], "n"),
-                              json_int(obj["degree"], "degree"), items)
+        return cls.from_terms(json_int(obj["n"], "n"), json_int(obj["degree"], "degree"), items)
 
 
 def _y_product(mono) -> tuple[int, GraphKey]:
@@ -504,7 +506,8 @@ def simplest_binomial(cycle_a, cycle_b, doubled_rest=()) -> SymElement:
 
 @dataclass(frozen=True)
 class GenSegreDatum:
-    """A 3-colored graph with a 3-part even partition and the special-edge rules."""
+    """A 3-colored graph on a 3-part even partition, one part per color: an edge
+    between two parts has the third color, the one neither part has."""
 
     n: int
     u_red: frozenset[int]
@@ -514,12 +517,12 @@ class GenSegreDatum:
     green: GraphKey
     blue: GraphKey
 
-    OPPOSITE = {frozenset(("green", "blue")): "red",
-                frozenset(("red", "blue")): "green",
-                frozenset(("red", "green")): "blue"}
-
     def parts(self) -> dict[str, frozenset[int]]:
         return {"red": self.u_red, "green": self.u_green, "blue": self.u_blue}
+
+    def part_of(self) -> dict[int, str]:
+        """Label -> the color of its part."""
+        return {v: name for name, p in self.parts().items() for v in p}
 
     def layers(self) -> dict[str, GraphKey]:
         return {"red": matching_key(self.red),
@@ -527,79 +530,66 @@ class GenSegreDatum:
                 "blue": matching_key(self.blue)}
 
     def validate(self) -> None:
-        parts = self.parts()
-        union: set[int] = set()
-        total = 0
-        for name, p in parts.items():
+        for name, p in self.parts().items():
             if not p or len(p) % 2:
                 raise ValueError(f"part {name} must be even and nonempty")
-            union |= p
-            total += len(p)
-        if union != set(range(1, self.n + 1)) or total != self.n:
+        if sorted(itertools.chain(*self.parts().values())) != list(range(1, self.n + 1)):
             raise ValueError("parts must partition the labels")
         for color, layer in self.layers().items():
             _check_layer(self.n, layer, color)
-        cross = self.cross_edges()
-        for pair, edges in cross.items():
+        part, cross = self.part_of(), self.cross_edges()
+        for third, edges in cross.items():
             for color, (a, b) in edges:
-                if color != self.OPPOSITE[pair]:
-                    pa, pb = (name for v in (a, b) for name, p in parts.items() if v in p)
-                    raise ValueError(f"edge ({a},{b}) between {pa},{pb} must be "
-                                     f"{self.OPPOSITE[pair]}, got {color}")
-        for pair, edges in cross.items():
+                if color != third:
+                    raise ValueError(f"edge ({a},{b}) between {part[a]},{part[b]} must be "
+                                     f"{third}, got {color}")
+        for third, edges in cross.items():
             if len(edges) not in (0, 2):
-                raise ValueError(f"{len(edges)} edges between {sorted(pair)}, need 0 or 2")
+                raise ValueError(f"{len(edges)} edges between {sorted(set(cross) - {third})}, "
+                                 "need 0 or 2")
 
-    def cross_edges(self) -> dict[frozenset[str], list[tuple[str, Edge]]]:
-        """The edges between two parts, ``{pair of parts: [(color, edge)]}``."""
-        part = {v: name for name, p in self.parts().items() for v in p}
-        cross: dict[frozenset[str], list] = {k: [] for k in self.OPPOSITE}
+    def cross_edges(self) -> dict[str, list[tuple[str, Edge]]]:
+        """The edges between two parts, ``{third color: [(color, edge)]}``."""
+        part = self.part_of()
+        cross: dict[str, list] = {name: [] for name in self.parts()}
         for color, layer in self.layers().items():
             for a, b in layer:
                 if part[a] != part[b]:
-                    cross[frozenset((part[a], part[b]))].append((color, (a, b)))
+                    third, = set(cross) - {part[a], part[b]}
+                    cross[third].append((color, (a, b)))
         return cross
 
     def black_purple(self) -> tuple[GraphKey, GraphKey]:
         """Recolor: own-color edges inside each part go black, the rest purple."""
-        parts = self.parts()
-        layers = self.layers()
-        black: list = []
-        purple: list = []
-        for color, layer in layers.items():
+        part, black, purple = self.part_of(), [], []
+        for color, layer in self.layers().items():
             for a, b in layer:
-                if a in parts[color] and b in parts[color]:
-                    black.append((a, b))
-                else:
-                    purple.append((a, b))
+                (black if part[a] == part[b] == color else purple).append((a, b))
         return tuple(sorted(black)), tuple(sorted(purple))
 
     def is_degenerate(self) -> bool:
-        """Missing special pair, or special pairs disconnected inside a part."""
-        cross = self.cross_edges()
+        """Missing special pair, or special pairs disconnected inside a part; a
+        part's two pairs are those of the two other colors, and one component
+        pass serves every part, as no edge inside a part leaves it."""
+        part, cross = self.part_of(), self.cross_edges()
         if any(not v for v in cross.values()):
             return True
-        layers = self.layers()
-        for name, part in self.parts().items():
-            inside = [e for layer in layers.values() for e in layer
-                      if e[0] in part and e[1] in part]
-            blocks, _ = connected_component_partition(self.n, inside)
-            comp_of = {v: i for i, blk in enumerate(blocks) for v in blk}
-            anchors = [{comp_of[v] for _, e in edges for v in e if v in part}
-                       for pair, edges in cross.items() if name in pair]
-            assert len(anchors) == 2
-            if anchors[0].isdisjoint(anchors[1]):
+        inside = [(a, b) for layer in self.layers().values() for a, b in layer
+                  if part[a] == part[b]]
+        blocks, _ = connected_component_partition(self.n, inside)
+        comp_of = {v: i for i, blk in enumerate(blocks) for v in blk}
+        for name in cross:
+            first, second = ({comp_of[v] for _, e in edges for v in e if part[v] == name}
+                             for third, edges in cross.items() if third != name)
+            if first.isdisjoint(second):
                 return True
         return False
 
     @classmethod
     def from_json_dict(cls, obj) -> "GenSegreDatum":
         parts = [frozenset(json_ints(obj[k], k)) for k in ("UR", "UG", "UB")]
-        n = sum(len(p) for p in parts)
-        return cls(n, parts[0], parts[1], parts[2],
-                   matching_key(json_edges(obj["red"], "red")),
-                   matching_key(json_edges(obj["green"], "green")),
-                   matching_key(json_edges(obj["blue"], "blue")))
+        layers = [matching_key(json_edges(obj[c], c)) for c in ("red", "green", "blue")]
+        return cls(sum(map(len, parts)), *parts, *layers)
 
 
 def _kempe_lift(n: int, purple, black) -> SymElement:
@@ -641,40 +631,23 @@ class SquareRotationDatum:
     black: GraphKey
 
     def validate(self) -> None:
-        uset = set(self.u)
-        if len(self.u) != 4 or len(uset) != 4 or not uset <= set(range(1, self.n + 1)):
+        if len(self.u) != 4 or len(set(self.u)) != 4 or not all(1 <= v <= self.n for v in self.u):
             raise ValueError(f"U = {list(self.u)} must be 4 distinct labels in 1..{self.n}")
-        pv = valences(self.n, self.purple)
-        bv = valences(self.n, self.black)
+        check_labels(self.n, self.purple + self.black)
+        # counted by label, so a huge n with few edges stops at its first bare label
+        pv, bv = Counter(itertools.chain(*self.purple)), Counter(itertools.chain(*self.black))
         for v in range(1, self.n + 1):
-            want_p, want_b = (1, 0) if v in uset else (2, 1)
+            want_p, want_b = (1, 0) if v in self.u else (2, 1)
             if pv[v] != want_p or bv[v] != want_b:
                 raise ValueError(f"valences at {v}: purple {pv[v]} black {bv[v]}")
 
     def special_paths(self) -> list[list[int]]:
-        """The two purple paths ending in U, as vertex lists.
-
-        Assumes the purple subgraph is simple along the paths (true for every
-        datum we construct; cycles through doubled edges never touch U).
-        """
-        adj: dict[int, list[int]] = {}
-        for a, b in self.purple:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        paths = []
-        seen = set()
-        for start in self.u:
-            if start in seen or start not in adj:
-                continue
-            path = [start]
-            prev, cur = None, start
-            while cur not in self.u or cur == start and len(path) == 1:
-                nxt = next(w for w in adj[cur] if w != prev)
-                path.append(nxt)
-                prev, cur = cur, nxt
-            seen.update((path[0], path[-1]))
-            paths.append(path)
-        return paths
+        """The two purple paths ending in U, each as its vertices in increasing
+        order: the purple components that meet U.  On a datum that passes
+        ``validate``, purple has valence 1 on U and 2 elsewhere, so such a
+        component is a path with both ends in U, and any other is a cycle."""
+        blocks, _ = connected_component_partition(self.n, self.purple)
+        return [sorted(b) for b in blocks if not b.isdisjoint(self.u)]
 
     @classmethod
     def from_json_dict(cls, obj) -> "SquareRotationDatum":

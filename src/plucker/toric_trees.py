@@ -224,17 +224,17 @@ def _completion_counts(tree: TrivalentTree, d: int):
     """The DP shared by counting and enumeration, hung from leaf 1's edge.
 
     Returns (table, root_edge, trinodes): ``trinodes`` lists, in pre-order,
-    each trinode's (parent edge, child edge, child edge), and ``table[e]``
-    maps a weight on edge e to the number of admissible completions of the
-    subtree under e with every leaf edge weighted d.  The edges are filled in
-    post-order by a loop, so a deep tree needs no deep recursion.  Raises
-    ``ValueError`` on d < 0.
+    each trinode's (parent edge, child edge, child edge), and ``table[root_edge]``
+    maps a weight on it to the number of admissible completions with every leaf
+    edge weighted d; any other edge keeps only the range, in steps of 2, of the
+    weights its subtree completes.  The edges are filled in post-order by a
+    loop, so a deep tree needs no deep recursion.  Raises ``ValueError`` on d < 0.
     """
     if d < 0:
         raise ValueError(f"degree must be >= 0, got {d}")
     root_leaf = tree.leaf_of_label[min(tree.leaf_of_label)]
     (root_edge, below), = tree.adj[root_leaf]
-    table: dict[int, dict[int, int]] = {}
+    table: dict[int, dict[int, int] | range] = {}
     # pre-order puts each edge after its parent edge, so walking it backwards
     # fills both child tables before the parent's; a leaf edge has no children
     preorder = []
@@ -257,6 +257,8 @@ def _completion_counts(tree: TrivalentTree, d: int):
                 for w in range(abs(w1 - w2), w1 + w2 + 1, 2):
                     out[w] = out.get(w, 0) + n1 * n2
         table[e] = out
+        for kid in kids:
+            table[kid] = range(min(table[kid]), max(table[kid]) + 1, 2)
     return table, root_edge, [edges for edges in preorder if len(edges) == 3]
 
 
@@ -277,8 +279,8 @@ def enumerate_admissible_regular(tree: TrivalentTree, d: int):
     weights = [d] * len(tree.edges)  # right at every leaf edge; trinodes set the rest
 
     def pairs(e: int, e1: int, e2: int):
-        for w1 in sorted(table[e1]):
-            for w2 in sorted(table[e2]):
+        for w1 in table[e1]:
+            for w2 in table[e2]:
                 if admissible_triple(weights[e], w1, w2):
                     weights[e1], weights[e2] = w1, w2
                     yield True

@@ -75,6 +75,9 @@ def _simplest(n=8, coeffs=("1", "-1")):
                                           [[1, 5], [2, 6], [3, 4], [7, 8]]]}]})
 
 
+# JSON nested deeper than the parser's recursion limit
+_DEEP = '{"n":' + "[" * 5000
+
 # User inputs that once passed silently, failed with an assert (no message,
 # or none at all under python -O) or raised deep in the library.
 BAD_USER_INPUTS = [
@@ -163,6 +166,32 @@ BAD_USER_INPUTS = [
     ("toric", "count", "--r", "4000", "--degree", "1"),
     ("toric", "count", "--r", "4", "--degree", "100000"),
     ("toric", "greedy", "--r", "100000000", "--graph", "n=4; edges=1-2,3-4"),
+    # too deep for the parser: a RecursionError and a traceback mean exit 1
+    ("straighten", _DEEP),
+    ("evaluate", _DEEP, "--points", "1,2"),
+    ("orbit-span", "--element", _DEEP),
+    ("normal-form", _DEEP),
+    ("relation", "construct", "simple", "--data", _DEEP),
+    # exponent notation: Fraction would expand it into that many digits
+    ("straighten", _element([1, 2], [3, 4], coeff="1e10000000")),
+    ("straighten", _element([1, 2], [3, 4], coeff="1e100000000")),
+    ("orbit-span", "--element", _simplest(coeffs=("1E5", "-1"))),
+    # graph text and --points that Python's int() and unpacking refuse
+    ("straighten", "n=4; edges=1-2-3"),
+    ("straighten", "n=4; edges=a-b"),
+    ("evaluate", "n=4; edges=1-2,3-4", "--points", "1,2,3,x"),
+    ("evaluate", "n=4; edges=1-2,3-4", "--points", "1,,3,4"),
+    ("toric", "greedy", "--r", "3", "--graph", "n=6; edges=1-2,3-4,5-x"),
+    # a negative n in JSON
+    ("straighten", '{"n":-4,"edges":[]}'),
+    ("straighten", '{"n":-4,"terms":[]}'),
+    ("orbit-span", "--element", '{"n":-4,"degree":2,"terms":[]}'),
+    # a square-rotation edge off 1..n, which indexed past the valence list,
+    # and a huge n, whose labels 1..n were all listed before any check
+    ("relation", "verify", "square-rotation", "--data", json.dumps(
+        {"n": 8, "U": [1, 2, 3, 4], "purple": [[1, 9]], "black": []})),
+    ("relation", "verify", "square-rotation", "--data", json.dumps(
+        {"n": 10**12, "U": [1, 2, 3, 4], "purple": [[1, 2], [3, 4]], "black": []})),
 ]
 
 # Bad values that no command can build, passed to the library directly; each
@@ -449,6 +478,26 @@ JSON_SHAPE_ERRORS = [
     (("straighten", '{"n":4,"edges":5}'), "error: edges must be a list, got 5"),
     (("orbit-span", "--element", '{"n":4,"degree":1,"terms":[{"coeff":"1","monomial":[5]}]}'),
      "error: layer must be a list, got 5"),
+    # JSON too deep to parse names the argument
+    (("straighten", _DEEP), "error: element is nested too deeply to read"),
+    (("normal-form", _DEEP), "error: tuple is nested too deeply to read"),
+    (("relation", "construct", "simple", "--data", _DEEP),
+     "error: simple datum is nested too deeply to read"),
+    (("straighten", _element([1, 2], [3, 4], coeff="1e10000000")),
+     "error: coefficient must be a fraction string or an integer, got '1e10000000'"),
+    (("straighten", '{"n":-4,"edges":[]}'), "error: n must be >= 0, got -4"),
+    (("straighten", '{"n":-4,"terms":[]}'), "error: n must be >= 0, got -4"),
+    (("relation", "verify", "square-rotation", "--data",
+      '{"n":8,"U":[1,2,3,4],"purple":[[1,9]],"black":[]}'), "error: edge (1,9) out of range 1..8"),
+    # graph text and --points name the edge or point at fault
+    (("straighten", "n=4; edges=1-2-3"), "error: edge '1-2-3' is not a-b with integer labels"),
+    (("straighten", "n=4; edges=a-b"), "error: edge 'a-b' is not a-b with integer labels"),
+    (("toric", "greedy", "--r", "3", "--graph", "n=6; edges=1-2,3-4,5-x"),
+     "error: edge '5-x' is not a-b with integer labels"),
+    (("evaluate", "n=4; edges=1-2,3-4", "--points", "1,2,3,x"),
+     "error: point of --points must be an integer, got 'x'"),
+    (("evaluate", "n=4; edges=1-2,3-4", "--points", "1,,3,4"),
+     "error: point of --points must be an integer, got ''"),
 ]
 
 
@@ -571,5 +620,55 @@ def test_integer_arguments_answer_or_exit_2(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([str(a) for a in argv])
+    assert code in (EXIT_OK, EXIT_CRITERION_FAILED, EXIT_PARSE), argv
+    assert "Traceback" not in err.getvalue(), argv
+
+
+def test_json_too_deep_to_parse_from_a_file_exits_2(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text(_DEEP)
+    arg = f"@{deep}"
+    for argv, what in ((("straighten", arg), "element"),
+                       (("evaluate", arg, "--points", "1,2"), "element"),
+                       (("orbit-span", "--element", arg), "element"),
+                       (("normal-form", arg), "tuple"),
+                       (("relation", "construct", "simple", "--data", arg), "simple datum")):
+        assert run(capsys, *argv) == (EXIT_PARSE, "", f"error: {what} is nested too deeply to read\n")
+
+
+# Malformed JSON for the commands that read it: documents built from the
+# fields the readers know, then cut short or nested past the parser's limit.
+_JSON_FIELDS = ("n", "edges", "terms", "coeff", "monomial", "degree", "r", "entries",
+                "stalks", "bases", "U", "color1", "color2")
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats(allow_nan=False)
+    | st.sampled_from(("1/2", "-3", "1e9", "x", "")),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_JSON_FIELDS), inner, max_size=4),
+    max_leaves=12)
+_JSON_COMMANDS = (("straighten", "{}"), ("evaluate", "{}", "--points", "1,2"),
+                  ("orbit-span", "--element", "{}"), ("normal-form", "{}"),
+                  ("relation", "construct", "simple", "--data", "{}"))
+
+
+@st.composite
+def _malformed_json(draw):
+    text = json.dumps(draw(st.dictionaries(st.sampled_from(_JSON_FIELDS), _JSON_VALUES,
+                                           max_size=5)))
+    damage = draw(st.sampled_from(("none", "cut", "deep")))
+    if damage == "cut":
+        text = text[:draw(st.integers(1, len(text)))]
+    elif damage == "deep":
+        text = text[:draw(st.integers(1, len(text)))] + "[" * draw(st.integers(500, 5000))
+    return text
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.sampled_from(_JSON_COMMANDS), _malformed_json())
+def test_malformed_json_answers_or_exits_2(command, text):
+    argv = [text if a == "{}" else a for a in command]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
     assert code in (EXIT_OK, EXIT_CRITERION_FAILED, EXIT_PARSE), argv
     assert "Traceback" not in err.getvalue(), argv

@@ -547,6 +547,112 @@ def test_column_table_follows_sym_basis_order(n, k):
             assert table[tuple(key[:i] + key[i + 1:])][key[i]] == j
 
 
+_R6, _G6, _B6 = genseg6_datum().red, genseg6_datum().green, genseg6_datum().blue
+_SQ = square_rotation_even_datum()
+_F = frozenset
+_EVEN10 = ((1, 2), (3, 4), (5, 6), (7, 8), (9, 10))
+# Every message of the two validators, each reached by the input named; the
+# texts were read at the code before the data kept one part map and took the
+# purple paths as components.
+VALIDATE_MESSAGES = [
+    ("odd part", GenSegreDatum(6, _F({3, 4, 5}), _F({1, 2}), _F({6}), _R6, _G6, _B6),
+     "part red must be even and nonempty"),
+    ("empty part", GenSegreDatum(4, _F({3, 4}), _F({1, 2}), _F(), *(((1, 2), (3, 4)),) * 3),
+     "part blue must be even and nonempty"),
+    ("overlapping parts", GenSegreDatum(6, _F({1, 2}), _F({1, 2}), _F({5, 6}), _R6, _G6, _B6),
+     "parts must partition the labels"),
+    ("a part outside 1..n", GenSegreDatum(6, _F({3, 4}), _F({1, 2}), _F({5, 7}), _R6, _G6, _B6),
+     "parts must partition the labels"),
+    ("parts short of 1..n", GenSegreDatum(8, _F({3, 4}), _F({1, 2}), _F({5, 6}), _R6, _G6, _B6),
+     "parts must partition the labels"),
+    ("a layer that is no matching",
+     GenSegreDatum(6, _F({3, 4}), _F({1, 2}), _F({5, 6}), ((1, 5), (2, 6)), _G6, _B6),
+     "not a perfect matching: ((1, 5), (2, 6))"),
+    ("a matching of fewer labels",
+     GenSegreDatum(6, _F({3, 4}), _F({1, 2}), _F({5, 6}), ((1, 2), (3, 4)), _G6, _B6),
+     "red is not a perfect matching of 1..6"),
+    ("a loop in a layer",
+     GenSegreDatum(6, _F({3, 4}), _F({1, 2}), _F({5, 6}), _R6, ((1, 1), (3, 5), (4, 6)), _B6),
+     "loop in matching"),
+    ("an edge of the wrong color",
+     GenSegreDatum(6, _F({3, 4}), _F({1, 2}), _F({5, 6}), ((1, 2), (3, 5), (4, 6)), _G6, _B6),
+     "edge (3,5) between red,blue must be green, got red"),
+    # an odd number of edges between two parts needs one of the wrong color
+    ("one blue edge between red and green",
+     GenSegreDatum(6, _F({3, 4}), _F({1, 2}), _F({5, 6}), _R6, _G6, ((1, 3), (2, 5), (4, 6))),
+     "edge (2,5) between green,blue must be red, got blue"),
+    ("three blue edges between red and green",
+     GenSegreDatum(10, _F({1, 2, 3, 4}), _F({5, 6, 7, 8}), _F({9, 10}), _EVEN10, _EVEN10,
+                   ((1, 5), (2, 6), (3, 7), (4, 9), (8, 10))),
+     "edge (8,10) between green,blue must be red, got blue"),
+    ("four blue edges between red and green",
+     GenSegreDatum(10, _F({1, 2, 3, 4}), _F({5, 6, 7, 8}), _F({9, 10}), _EVEN10, _EVEN10,
+                   ((1, 5), (2, 6), (3, 7), (4, 8), (9, 10))),
+     "4 edges between ['green', 'red'], need 0 or 2"),
+    ("three labels in U", SquareRotationDatum(8, (1, 2, 3), _SQ.purple, _SQ.black),
+     "U = [1, 2, 3] must be 4 distinct labels in 1..8"),
+    ("five labels in U", SquareRotationDatum(8, (1, 2, 3, 4, 5), _SQ.purple, _SQ.black),
+     "U = [1, 2, 3, 4, 5] must be 4 distinct labels in 1..8"),
+    ("a repeated label in U", SquareRotationDatum(8, (1, 2, 3, 3), _SQ.purple, _SQ.black),
+     "U = [1, 2, 3, 3] must be 4 distinct labels in 1..8"),
+    ("a label of U above n", SquareRotationDatum(8, (1, 2, 3, 9), _SQ.purple, _SQ.black),
+     "U = [1, 2, 3, 9] must be 4 distinct labels in 1..8"),
+    ("a label 0 in U", SquareRotationDatum(8, (0, 2, 3, 4), _SQ.purple, _SQ.black),
+     "U = [0, 2, 3, 4] must be 4 distinct labels in 1..8"),
+    ("black valence 2", SquareRotationDatum(8, (1, 2, 3, 4), _SQ.purple, ((5, 7), (6, 7))),
+     "valences at 7: purple 2 black 2"),
+    ("purple valence 2 on U",
+     SquareRotationDatum(8, (1, 2, 3, 4), _SQ.purple + ((1, 2),), _SQ.black),
+     "valences at 1: purple 2 black 0"),
+    ("black on U", SquareRotationDatum(8, (1, 2, 3, 4), _SQ.purple, _SQ.black + ((1, 2),)),
+     "valences at 1: purple 1 black 1"),
+    ("U off a path end", SquareRotationDatum(8, (1, 2, 3, 5), _SQ.purple, _SQ.black),
+     "valences at 4: purple 1 black 0"),
+]
+
+
+@pytest.mark.parametrize("datum, message", [case[1:] for case in VALIDATE_MESSAGES],
+                         ids=[case[0] for case in VALIDATE_MESSAGES])
+def test_validate_messages_are_pinned(datum, message):
+    with pytest.raises(ValueError) as exc:
+        datum.validate()
+    assert str(exc.value) == message
+
+
+def _relabelled(datum, image):
+    """The datum with label v renamed image[v - 1]."""
+    moved = dict(zip(range(1, datum.n + 1), image))
+
+    def move(edges):
+        return tuple(sorted(tuple(sorted((moved[a], moved[b]))) for a, b in edges))
+
+    if isinstance(datum, GenSegreDatum):
+        return GenSegreDatum(datum.n, *(_F(moved[v] for v in p) for p in datum.parts().values()),
+                             move(datum.red), move(datum.green), move(datum.blue))
+    return SquareRotationDatum(datum.n, tuple(moved[v] for v in datum.u),
+                               move(datum.purple), move(datum.black))
+
+
+_FIGURE_DATA = (genseg6_datum(), degenerate_genseg8_datum(), square_rotation_even_datum())
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.sampled_from(_FIGURE_DATA).flatmap(
+    lambda d: st.tuples(st.just(d), st.permutations(range(1, d.n + 1)))))
+def test_relabelled_figure_data_keep_their_rules(case):
+    datum, image = case
+    moved = _relabelled(datum, image)
+    moved.validate()
+    if isinstance(datum, GenSegreDatum):
+        assert moved.is_degenerate() == datum.is_degenerate()
+        rel = generalized_segre(moved)
+    else:
+        assert sorted(moved.special_paths()) == sorted(
+            sorted(image[v - 1] for v in path) for path in datum.special_paths())
+        rel = square_rotation(moved)
+    assert project_to_ring(rel).is_zero()
+
+
 # Constructor outputs captured from the code before the relation layers were
 # merged; the element JSON must stay byte-for-byte the same.
 _GS6 = {"UR": [3, 4], "UG": [1, 2], "UB": [5, 6], "red": [[1, 5], [2, 6], [3, 4]],

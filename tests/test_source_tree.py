@@ -128,3 +128,21 @@ def test_plucker_modules_import_no_cycle():
     # relation ideal nothing of the group action on it
     assert "relations" not in graph["invariant_ring"]
     assert "symmetry_rep" not in graph["relations"]
+
+
+def test_json_is_parsed_only_by_read_json():
+    # graph_core.read_json turns the parser's RecursionError on deep JSON into
+    # bad input; a second reader would let that traceback through again
+    readers = []
+    for path in SRC:
+        tree = ast.parse(path.read_text(), str(path))
+        owner: dict[int, str] = {}
+        for node in ast.walk(tree):  # breadth first: a function before its body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(sub), node.name) for sub in ast.walk(node))
+            elif isinstance(node, ast.Attribute) and node.attr in ("load", "loads") \
+                    and isinstance(node.value, ast.Name) and node.value.id == "json":
+                readers.append(f"{path.name}:{owner.get(id(node), '<module>')}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                readers.append(f"{path.name}:{node.lineno} imports from json")
+    assert readers == ["graph_core.py:read_json"], readers

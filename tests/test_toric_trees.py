@@ -9,6 +9,7 @@ from plucker.toric_rewriting import CatWeighting
 from plucker.toric_trees import (
     TreeWeighting,
     TrivalentTree,
+    _completion_counts,
     build_caterpillar,
     build_y_tree,
     count_admissible_regular,
@@ -289,6 +290,51 @@ def test_enumeration_order_matches_the_nested_generators():
             got = list(enumerate_admissible_regular(tree, d))
             assert got == list(enumerate_recursively(tree, d))
             assert len(got) == count_admissible_regular(tree, d)
+
+
+def _every_count_table(tree, d):
+    """Each edge's table {weight: completions of the subtree under it}, all kept,
+    by recursion from leaf 1's edge: the oracle for ``_completion_counts``."""
+    tables = {}
+
+    def fill(e, v, parent):
+        kids = [(idx, w) for idx, w in tree.adj[v] if w != parent]
+        if not kids:
+            tables[e] = {d: 1}
+            return
+        (e1, w1), (e2, w2) = kids
+        fill(e1, w1, v)
+        fill(e2, w2, v)
+        out = {}
+        for a, na in tables[e1].items():
+            for b, nb in tables[e2].items():
+                for w in range(abs(a - b), a + b + 1, 2):
+                    out[w] = out.get(w, 0) + na * nb
+        tables[e] = out
+
+    root_leaf = tree.leaf_of_label[1]
+    (root_edge, below), = tree.adj[root_leaf]
+    fill(root_edge, below, root_leaf)
+    return tables
+
+
+@pytest.mark.parametrize("tree, degrees", [(build_y_tree(r), range(5)) for r in range(3, 9)]
+                         + [(build_caterpillar(r), range(6)) for r in range(3, 9)]
+                         + [(_two_sided_tree(), range(4))],
+                         ids=[f"y{r}" for r in range(3, 9)]
+                         + [f"caterpillar{r}" for r in range(3, 9)] + ["two_sided"])
+def test_child_tables_keep_only_their_weight_range(tree, degrees):
+    # every weight between a child table's least and largest, in steps of 2,
+    # has a completion, so the range the DP keeps is exactly its key set
+    for d in degrees:
+        table, root_edge, _ = _completion_counts(tree, d)
+        every = _every_count_table(tree, d)
+        assert table.keys() == every.keys()
+        assert table[root_edge] == every[root_edge]
+        for e, counts in every.items():
+            if e != root_edge:
+                assert table[e] == range(min(counts), max(counts) + 1, 2)
+                assert set(table[e]) == set(counts), (e, d)
 
 
 def test_lattice_counts_match_enumeration_at_larger_sizes():
