@@ -281,6 +281,8 @@ def read_json(text: str | dict, what: str) -> dict:
             text = json.loads(text)
         except RecursionError:
             raise ValueError(f"{what} is nested too deeply to read") from None
+        except ValueError as exc:  # the parser's JSONDecodeError
+            raise ValueError(f"{what} is not valid JSON: {exc}") from None
     return json_object(text, what)
 
 
@@ -288,9 +290,13 @@ def json_coeff(value) -> Fraction:
     """An exact coefficient read from JSON: an integer, or a fraction string with no
     exponent, which ``Fraction`` would expand into all its digits."""
     if type(value) is not int and (type(value) is not str or "e" in value.lower()):
-        raise ValueError(f"coefficient must be a fraction string or an integer, "
-                         f"got {value!r}")
-    return Fraction(value)
+        raise ValueError(f"coefficient must be a fraction string or an integer, got {value!r}")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"coefficient {value!r} has a zero denominator") from None
+    except ValueError:
+        raise ValueError(f"coefficient {value!r} is not a fraction a/b") from None
 
 
 def json_ints(value, what: str) -> list[int]:
@@ -305,6 +311,15 @@ def json_edges(edges, what: str) -> list[Edge]:
         if len(e) != 2:
             raise ValueError(f"edge must have 2 labels, got {list(e)}")
     return out
+
+
+def json_layer(edges, what: str) -> GraphKey:
+    """The canonical layer of the JSON edge list ``what``; ``ValueError`` on a loop."""
+    out = json_edges(edges, what)
+    for a, b in out:
+        if a == b:
+            raise ValueError(f"{what} has a loop at {a}")
+    return canonicalize(out).graph
 
 
 def check_labels(n: int, edges) -> None:

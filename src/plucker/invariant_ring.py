@@ -336,10 +336,10 @@ def evaluate(e: RingElement, p: PointConfig) -> Fraction:
 TRACE_CELLS = 10_000_000
 
 
-def check_trace_cells(what: str, cells: int) -> None:
-    """Raise ``ValueError`` when ``what`` needs over ``TRACE_CELLS`` updates."""
+def check_trace_cells(what: str, cells: int, unit: str = "coefficient updates") -> None:
+    """Raise ``ValueError`` when ``what`` needs over ``TRACE_CELLS`` ``unit``."""
     if cells > TRACE_CELLS:
-        raise ValueError(f"{what} needs {cells} coefficient updates, "
+        raise ValueError(f"{what} needs {cells} {unit}, "
                          f"over the limit of {TRACE_CELLS}")
 
 

@@ -43,6 +43,7 @@ from .graph_core import (
     json_edges,
     json_int,
     json_ints,
+    json_layer,
     json_list,
     json_object,
     matching_key,
@@ -461,8 +462,8 @@ class BinomialQuadDatum:
     @classmethod
     def from_json_dict(cls, obj) -> "BinomialQuadDatum":
         return cls(json_int(obj["n"], "n"), frozenset(json_ints(obj["U"], "U")),
-                   matching_key(json_edges(obj["color1"], "color1")),
-                   matching_key(json_edges(obj["color2"], "color2")))
+                   matching_key(json_layer(obj["color1"], "color1")),
+                   matching_key(json_layer(obj["color2"], "color2")))
 
 
 def simple_binomial(d: BinomialQuadDatum) -> SymElement:
@@ -588,7 +589,7 @@ class GenSegreDatum:
     @classmethod
     def from_json_dict(cls, obj) -> "GenSegreDatum":
         parts = [frozenset(json_ints(obj[k], k)) for k in ("UR", "UG", "UB")]
-        layers = [matching_key(json_edges(obj[c], c)) for c in ("red", "green", "blue")]
+        layers = [matching_key(json_layer(obj[c], c)) for c in ("red", "green", "blue")]
         return cls(sum(map(len, parts)), *parts, *layers)
 
 
@@ -652,8 +653,7 @@ class SquareRotationDatum:
     @classmethod
     def from_json_dict(cls, obj) -> "SquareRotationDatum":
         return cls(json_int(obj["n"], "n"), tuple(json_ints(obj["U"], "U")),
-                   canonicalize(json_edges(obj["purple"], "purple")).graph,
-                   canonicalize(json_edges(obj["black"], "black")).graph)
+                   json_layer(obj["purple"], "purple"), json_layer(obj["black"], "black"))
 
 
 def square_rotation(p: SquareRotationDatum) -> SymElement:

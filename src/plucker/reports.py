@@ -351,10 +351,10 @@ SUITES["all"] = tuple(name for name, _ in CRITERIA)
 
 def run_criterion(name: str, seed: int = 0, trials: int = 500) -> dict:
     func = dict(CRITERIA)[name]
-    start = time.time()
+    start = time.perf_counter()
     result = func(seed=seed, trials=trials)
     result["criterion"] = name
-    result["seconds"] = round(time.time() - start, 3)
+    result["seconds"] = round(time.perf_counter() - start, 3)
     return result
 
 

@@ -90,19 +90,25 @@ class CatWeighting:
         return f"({self.stalks[0]} | {pairs}{self.stalks[-2]} | {self.stalks[-1]})"
 
 
+def _one_r(tup, what: str) -> int:
+    """The r of a tuple's entries; ``ValueError`` naming ``what`` if none or mixed."""
+    if not tup:
+        raise ValueError(f"{what} needs a non-empty tuple")
+    r = tup[0].r
+    if any(entry.r != r for entry in tup):
+        raise ValueError(f"{what} needs weightings on one caterpillar, got different r")
+    return r
+
+
 def sum_weighting(tup) -> CatWeighting:
     """The entrywise sum of a non-empty tuple of weightings on one caterpillar.
 
     One weighting is its own sum; more are built once from the column sums.
     ``ValueError`` on an empty tuple or on weightings of different r.
     """
-    if not tup:
-        raise ValueError("sum_weighting needs a non-empty tuple")
     if len(tup) == 1:
         return tup[0]
-    r = tup[0].r
-    if any(entry.r != r for entry in tup):
-        raise ValueError("cannot add weightings on caterpillars of different r")
+    r = _one_r(tup, "sum_weighting")
     return CatWeighting(r, tuple(map(sum, zip(*[entry.stalks for entry in tup]))),
                         tuple(map(sum, zip(*[entry.bases for entry in tup]))))
 
@@ -238,12 +244,8 @@ def balance(tup):
     stalks <= 1; ``ValueError`` otherwise, or on an empty tuple.
     """
     tup = tuple(tup)
-    if not tup:
-        raise ValueError("balance needs a non-empty tuple")
-    r = tup[0].r
+    r = _one_r(tup, "balance")
     for entry in tup:
-        if entry.r != r:
-            raise ValueError("cannot balance weightings on caterpillars of different r")
         if not entry.is_admissible():
             raise ValueError(f"{entry} is not admissible")
         if max(entry.stalks[1:-1]) > 1:
@@ -280,10 +282,7 @@ def _triple_r(tup) -> int:
     """The caterpillar of a triple; ``ValueError`` on another length or mixed r."""
     if len(tup) != 3:
         raise ValueError(f"types and the cubic move need triples, got {len(tup)} entries")
-    r = tup[0].r
-    if any(entry.r != r for entry in tup):
-        raise ValueError("cannot type weightings on caterpillars of different r")
-    return r
+    return _one_r(tup, "types and the cubic move")
 
 
 def type_vector(tup) -> tuple[str | None, ...]:
@@ -349,10 +348,8 @@ def normal_form(tup):
     the table's own instances.
     """
     tup = tuple(tup)
-    if not tup:
-        raise ValueError("normal_form needs a non-empty tuple")
+    r = _one_r(tup, "normal_form")
     n = len(tup)
-    r = tup[0].r
     if r < 4:
         raise ValueError(f"normal_form needs r >= 4, got r = {r}")
     for entry in tup:
@@ -417,9 +414,7 @@ def pairs_by_sum(universe: tuple) -> dict:
     """
     if not universe:
         return {}
-    r = universe[0].r
-    if any(entry.r != r for entry in universe):
-        raise ValueError("cannot add weightings on caterpillars of different r")
+    r = _one_r(universe, "pairs_by_sum")
     rows = [(entry, entry.stalks + entry.bases) for entry in universe]
     groups: dict = {}
     for (x, xs), (y, ys) in itertools.product(rows, repeat=2):

@@ -21,6 +21,13 @@ class TrivalentTree:
     """Connected acyclic graph, every vertex of valence 1 or 3, leaves labeled."""
 
     def __init__(self, num_vertices: int, edges, leaf_labels: dict[int, int]):
+        """One walk from the lowest leaf hangs the tree and checks that it is one:
+        ``ValueError`` on an edge off 0..num_vertices-1, a valence not 1 or 3, a
+        label off the leaves or a leaf without one, or a vertex reached twice or
+        never.  It records ``parent[v]``, the (edge, vertex) above v (None at the
+        root), ``depth[v]``, the ``trinodes`` in the order reached, and ``preorder``:
+        each edge as (edge, child edges...), after its parent edge.
+        """
         self.num_vertices = num_vertices
         self.edges: tuple[tuple[int, int], ...] = tuple(
             sorted(tuple(sorted(e)) for e in edges))
@@ -28,26 +35,38 @@ class TrivalentTree:
         self.label_of_leaf = {v: l for l, v in self.leaf_of_label.items()}
         self.adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(num_vertices)}
         for idx, (u, v) in enumerate(self.edges):
+            if u < 0 or v >= num_vertices:
+                raise ValueError(f"edge {(u, v)} is off the vertices 0..{num_vertices - 1}")
             self.adj[u].append((idx, v))
             self.adj[v].append((idx, u))
-        self._validate()
-        self._path_cache: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-
-    def _validate(self) -> None:
-        assert len(self.edges) == self.num_vertices - 1, "not a tree"
-        degs = [len(self.adj[v]) for v in range(self.num_vertices)]
-        assert all(d in (1, 3) for d in degs), "vertex of valence not in {1,3}"
-        leaves = {v for v, d in enumerate(degs) if d == 1}
-        assert set(self.label_of_leaf) == leaves, "leaf labels must cover the leaves"
-        seen = {0}
-        stack = [0]
+        if not self.leaf_of_label:
+            raise ValueError("a tree needs a labelled leaf")
+        root = self.leaf_of_label[min(self.leaf_of_label)]
+        self.parent: dict[int, tuple[int, int] | None] = {root: None}
+        self.depth = {root: 0}
+        preorder, stack = [], [(root, None)]
         while stack:
-            v = stack.pop()
-            for _, w in self.adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        assert len(seen) == self.num_vertices, "tree is not connected"
+            v, up = stack.pop()
+            valence = len(self.adj.get(v, ()))
+            if valence not in (1, 3):
+                raise ValueError(f"vertex {v} has valence {valence}, not 1 or 3")
+            if (valence == 1) != (v in self.label_of_leaf):
+                kind = "leaf without" if valence == 1 else "trinode with"
+                raise ValueError(f"vertex {v} is a {kind} a label")
+            kids = [(idx, w) for idx, w in self.adj[v] if idx != up]
+            for idx, w in kids:
+                if w in self.depth:
+                    raise ValueError(f"vertex {w} is reached twice: the edges have a cycle")
+                self.parent[w], self.depth[w] = (idx, v), self.depth[v] + 1
+            preorder.append((up, *(idx for idx, _ in kids)))  # the root's is dropped
+            stack.extend((w, idx) for idx, w in reversed(kids))
+        if len(self.depth) < num_vertices:
+            raise ValueError(f"{num_vertices - len(self.depth)} vertices are never reached")
+        self.trinodes = tuple(v for v in self.depth if len(self.adj[v]) == 3)
+        if len(self.depth) - len(self.trinodes) != len(self.leaf_of_label):
+            raise ValueError("the labels must be on the leaves, one each")
+        self.preorder: tuple[tuple[int, ...], ...] = tuple(preorder[1:])
+        self._path_cache: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
     @property
     def num_leaves(self) -> int:
@@ -57,29 +76,19 @@ class TrivalentTree:
         """Leaf labels in increasing order."""
         return sorted(self.leaf_of_label)
 
-    def trinodes(self) -> list[int]:
-        return [v for v in range(self.num_vertices) if len(self.adj[v]) == 3]
-
     def leaf_path(self, label1: int, label2: int):
-        """(vertex tuple, edge index tuple) of the geodesic between two leaves."""
+        """(vertex tuple, edge index tuple) of the geodesic between two leaves,
+        climbed by parent pointers from the deeper end until the ends meet."""
         hit = self._path_cache.get((label1, label2))
         if hit is not None:
             return hit
-        u, w = self.leaf_of_label[label1], self.leaf_of_label[label2]
-        prev: dict[int, tuple[int, int] | None] = {u: None}
-        stack = [u]
-        while w not in prev:
-            x = stack.pop()
-            for idx, y in self.adj[x]:
-                if y not in prev:
-                    prev[y] = (x, idx)
-                    stack.append(y)
-        verts, eidx = [w], []
-        while prev[verts[-1]] is not None:
-            p, idx = prev[verts[-1]]
-            eidx.append(idx)
-            verts.append(p)
-        result = (tuple(reversed(verts)), tuple(reversed(eidx)))
+        # each side lists vertex, edge, vertex, ..., climbing from its leaf
+        up, down = [self.leaf_of_label[label1]], [self.leaf_of_label[label2]]
+        while up[-1] != down[-1]:
+            side = up if self.depth[up[-1]] >= self.depth[down[-1]] else down
+            side.extend(self.parent[side[-1]])
+        path = up + down[-2::-1]
+        result = (tuple(path[::2]), tuple(path[1::2]))
         self._path_cache[label1, label2] = result
         self._path_cache[label2, label1] = (result[0][::-1], result[1][::-1])
         return result
@@ -139,20 +148,14 @@ class TreeWeighting:
         if len(self.weights) != len(self.tree.edges) or min(self.weights, default=0) < 0:
             raise ValueError(f"need {len(self.tree.edges)} weights >= 0, got {self.weights}")
 
-    def weight_triple(self, trinode: int) -> tuple[int, int, int]:
-        return tuple(self.weights[idx] for idx, _ in self.tree.adj[trinode])
-
     def is_admissible(self) -> bool:
-        return all(admissible_triple(*self.weight_triple(v))
-                   for v in self.tree.trinodes())
+        return all(admissible_triple(*(self.weights[idx] for idx, _ in self.tree.adj[v]))
+                   for v in self.tree.trinodes)
 
 
 def level(edges, tree: TrivalentTree) -> int:
     """Total geodesic edge count of a graph drawn in the tree."""
-    total = 0
-    for a, b in edges:
-        total += len(tree.leaf_path(a, b)[1])
-    return total
+    return sum(len(tree.leaf_path(a, b)[1]) for a, b in edges)
 
 
 def weighting_of_graph(edges, tree: TrivalentTree) -> TreeWeighting:
@@ -227,39 +230,27 @@ def _completion_counts(tree: TrivalentTree, d: int):
     each trinode's (parent edge, child edge, child edge), and ``table[root_edge]``
     maps a weight on it to the number of admissible completions with every leaf
     edge weighted d; any other edge keeps only the range, in steps of 2, of the
-    weights its subtree completes.  The edges are filled in post-order by a
-    loop, so a deep tree needs no deep recursion.  Raises ``ValueError`` on d < 0.
+    weights its subtree completes.  A loop over ``tree.preorder`` backwards fills
+    both child tables before the parent's, with no recursion.  ``ValueError`` on d < 0.
     """
     if d < 0:
         raise ValueError(f"degree must be >= 0, got {d}")
-    root_leaf = tree.leaf_of_label[min(tree.leaf_of_label)]
-    (root_edge, below), = tree.adj[root_leaf]
     table: dict[int, dict[int, int] | range] = {}
-    # pre-order puts each edge after its parent edge, so walking it backwards
-    # fills both child tables before the parent's; a leaf edge has no children
-    preorder = []
-    stack = [(root_edge, below, root_leaf)]
-    while stack:
-        e, v, parent = stack.pop()
-        children = [(idx, w) for idx, w in tree.adj[v] if w != parent]
-        preorder.append((e, *(idx for idx, _ in children)))
-        stack.extend((idx, w, v) for idx, w in reversed(children))
-    for e, *kids in reversed(preorder):
-        if not kids:
+    for e, *kids in reversed(tree.preorder):
+        if not kids:  # a leaf edge
             table[e] = {d: 1}
             continue
         e1, e2 = kids
         out: dict[int, int] = {}
         for w1, n1 in table[e1].items():
             for w2, n2 in table[e2].items():
-                # the triangle inequalities bound w; stepping by 2 keeps
-                # w + w1 + w2 even
+                # the triangle inequalities bound w; steps of 2 keep w + w1 + w2 even
                 for w in range(abs(w1 - w2), w1 + w2 + 1, 2):
                     out[w] = out.get(w, 0) + n1 * n2
         table[e] = out
         for kid in kids:
             table[kid] = range(min(table[kid]), max(table[kid]) + 1, 2)
-    return table, root_edge, [edges for edges in preorder if len(edges) == 3]
+    return table, tree.preorder[0][0], [edges for edges in tree.preorder if len(edges) == 3]
 
 
 def count_admissible_regular(tree: TrivalentTree, d: int) -> int:
@@ -306,10 +297,5 @@ def toric_plucker_applicable(tree: TrivalentTree, a: int, b: int, c: int, d: int
     """
     if len({a, b, c, d}) != 4:
         raise ValueError(f"leaves must be distinct, got {a}, {b}, {c}, {d}")
-    pab = set(tree.leaf_path(a, b)[0])
-    pcd = set(tree.leaf_path(c, d)[0])
-    if not pab & pcd:
-        return False
-    pac = set(tree.leaf_path(a, c)[0])
-    pbd = set(tree.leaf_path(b, d)[0])
-    return bool(pac & pbd)
+    ab, cd, ac, bd = (set(tree.leaf_path(x, y)[0]) for x, y in ((a, b), (c, d), (a, c), (b, d)))
+    return not ab.isdisjoint(cd) and not ac.isdisjoint(bd)

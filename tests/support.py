@@ -167,6 +167,40 @@ def untruncate(c: CatWeighting, d: int) -> TreeWeighting:
     return out
 
 
+def leaf_path_by_search(tree: TrivalentTree, label1: int, label2: int):
+    """(vertex tuple, edge index tuple) of a leaf geodesic, found by a
+    breadth-first search from the first leaf: the oracle for ``leaf_path``."""
+    u, w = tree.leaf_of_label[label1], tree.leaf_of_label[label2]
+    prev = {u: None}
+    frontier = [u]
+    while w not in prev:
+        frontier = [(x, idx, y) for x in frontier for idx, y in tree.adj[x] if y not in prev]
+        for x, idx, y in frontier:
+            prev[y] = (x, idx)
+        frontier = [y for _, _, y in frontier]
+    verts, edges = [w], []
+    while prev[verts[-1]] is not None:
+        x, idx = prev[verts[-1]]
+        verts.append(x)
+        edges.append(idx)
+    return tuple(reversed(verts)), tuple(reversed(edges))
+
+
+def preorder_by_stack(tree: TrivalentTree):
+    """Every edge as (edge, child edges...), hung from the lowest leaf's edge by
+    a stack of (edge, lower vertex, upper vertex): the oracle for
+    ``TrivalentTree.preorder``, the walk the count DP once made for itself."""
+    root_leaf = tree.leaf_of_label[min(tree.leaf_of_label)]
+    (root_edge, below), = tree.adj[root_leaf]
+    preorder, stack = [], [(root_edge, below, root_leaf)]
+    while stack:
+        e, v, parent = stack.pop()
+        children = [(idx, w) for idx, w in tree.adj[v] if w != parent]
+        preorder.append((e, *(idx for idx, _ in children)))
+        stack.extend((idx, w, v) for idx, w in reversed(children))
+    return tuple(preorder)
+
+
 def enumerate_recursively(tree: TrivalentTree, d: int):
     """Admissible weightings regular of degree d, by nested generators.
 

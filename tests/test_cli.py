@@ -78,6 +78,61 @@ def _simplest(n=8, coeffs=("1", "-1")):
 # JSON nested deeper than the parser's recursion limit
 _DEEP = '{"n":' + "[" * 5000
 
+
+def _rainbow(r):
+    """Graph text of the matching {i, 2r + 1 - i} on the 2r leaves of the r-th Y-tree."""
+    return f"n={2 * r}; edges=" + ",".join(f"{i}-{2 * r + 1 - i}" for i in range(1, r + 1))
+
+
+# a loop in each kind of relation datum's edge layers
+_LOOP_DATA = [
+    ("square-rotation", {"n": 8, "U": [1, 2, 3, 4], "purple": [[1, 5], [5, 6], [2, 6], [3, 7],
+                                                               [7, 8], [4, 8], [6, 6]],
+                         "black": [[5, 7], [6, 8]]}, "purple has a loop at 6"),
+    ("square-rotation", {"n": 8, "U": [1, 2, 3, 4], "purple": [[1, 5], [5, 6], [2, 6], [3, 7],
+                                                               [7, 8], [4, 8]],
+                         "black": [[5, 7], [6, 6]]}, "black has a loop at 6"),
+    ("simple", {"n": 8, "U": [5, 6, 7, 8], "color1": [[1, 2], [3, 4], [5, 6], [7, 7]],
+                "color2": [[1, 4], [2, 3], [5, 7], [6, 8]]}, "color1 has a loop at 7"),
+    ("simple", {"n": 8, "U": [5, 6, 7, 8], "color1": [[1, 2], [3, 4], [5, 6], [7, 8]],
+                "color2": [[1, 1], [2, 3], [5, 7], [6, 8]]}, "color2 has a loop at 1"),
+    ("generalized-segre", {"UR": [1, 2], "UG": [3, 4], "UB": [5, 6], "red": [[1, 2], [3, 3]],
+                           "green": [], "blue": []}, "red has a loop at 3"),
+    ("generalized-segre", {"UR": [1, 2], "UG": [3, 4], "UB": [5, 6], "red": [],
+                           "green": [[4, 4]], "blue": []}, "green has a loop at 4"),
+    ("generalized-segre", {"UR": [1, 2], "UG": [3, 4], "UB": [5, 6], "red": [], "green": [],
+                           "blue": [[5, 6], [2, 2]]}, "blue has a loop at 2"),
+]
+
+# JSON the parser refuses, and fraction strings Fraction refuses
+_UNREADABLE = [
+    (("straighten", '{"n":'),
+     "error: element is not valid JSON: Expecting value: line 1 column 6 (char 5)"),
+    (("normal-form", '{"r":4,'),
+     "error: tuple is not valid JSON: Expecting property name enclosed in double quotes: "
+     "line 1 column 8 (char 7)"),
+    (("relation", "construct", "simple", "--data", "{"),
+     "error: simple datum is not valid JSON: Expecting property name enclosed in double "
+     "quotes: line 1 column 2 (char 1)"),
+    (("orbit-span", "--element", '{"n":8,}'),
+     "error: element is not valid JSON: Expecting property name enclosed in double quotes: "
+     "line 1 column 8 (char 7)"),
+    (("straighten", _element([1, 3], [2, 4], coeff="1/0")),
+     "error: coefficient '1/0' has a zero denominator"),
+    (("straighten", _element([1, 3], [2, 4], coeff="abc")),
+     "error: coefficient 'abc' is not a fraction a/b"),
+    (("orbit-span", "--element", _simplest(coeffs=("2/0", "-1"))),
+     "error: coefficient '2/0' has a zero denominator"),
+    (("orbit-span", "--element", _simplest(coeffs=("1", "1/2/3"))),
+     "error: coefficient '1/2/3' is not a fraction a/b"),
+    # greedy_graph's leaf scans, counted before any walk
+    (("toric", "greedy", "--r", "4000", "--graph", _rainbow(4000)),
+     "error: the greedy walk at r=4000 needs 32000000 leaf scans, over the limit of 10000000"),
+    (("toric", "greedy", "--r", "2237", "--graph", _rainbow(2237)),
+     "error: the greedy walk at r=2237 needs 10008338 leaf scans, over the limit of 10000000"),
+] + [(("relation", "verify", kind, "--data", json.dumps(data)), f"error: {message}")
+     for kind, data, message in _LOOP_DATA]
+
 # User inputs that once passed silently, failed with an assert (no message,
 # or none at all under python -O) or raised deep in the library.
 BAD_USER_INPUTS = [
@@ -192,6 +247,9 @@ BAD_USER_INPUTS = [
         {"n": 8, "U": [1, 2, 3, 4], "purple": [[1, 9]], "black": []})),
     ("relation", "verify", "square-rotation", "--data", json.dumps(
         {"n": 10**12, "U": [1, 2, 3, 4], "purple": [[1, 2], [3, 4]], "black": []})),
+    # unreadable JSON and coefficients, loops in relation data, greedy walks
+    # over the limit: each is named
+    *(argv for argv, _ in _UNREADABLE),
 ]
 
 # Bad values that no command can build, passed to the library directly; each
@@ -217,6 +275,10 @@ BAD_DIRECT_CALLS = [
     "TreeWeighting(build_y_tree(3), (0,) * 8)",
     "TreeWeighting(build_y_tree(3), (1,) * 8 + (-1,))",
     "toric_plucker_applicable(build_y_tree(4), 1, 1, 2, 3)",
+    # trees the walk refuses: a valence of 2, an unlabelled leaf, a cycle
+    "TrivalentTree(3, [(0, 1), (1, 2)], {1: 0, 2: 2})",
+    "TrivalentTree(4, [(0, 1), (1, 2), (1, 3)], {1: 0, 2: 2})",
+    "TrivalentTree(6, [(0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (3, 5)], {1: 0, 2: 4, 3: 5})",
 ]
 
 # Runs each argv of BAD_USER_INPUTS (the "argv" list of the JSON on stdin)
@@ -228,7 +290,8 @@ import contextlib, io, json, sys, traceback
 from plucker.cli import main
 from plucker.invariant_ring import PointConfig, RingElement
 from plucker.relations import SymElement
-from plucker.toric_trees import TreeWeighting, build_y_tree, toric_plucker_applicable
+from plucker.toric_trees import (
+    TreeWeighting, TrivalentTree, build_y_tree, toric_plucker_applicable)
 from plucker.toric_rewriting import (
     CatWeighting, balance, balance_triples, sum_weighting, toric_segre_move, type_vector)
 payload = json.load(sys.stdin)
@@ -498,6 +561,7 @@ JSON_SHAPE_ERRORS = [
      "error: point of --points must be an integer, got 'x'"),
     (("evaluate", "n=4; edges=1-2,3-4", "--points", "1,,3,4"),
      "error: point of --points must be an integer, got ''"),
+    *_UNREADABLE,
 ]
 
 

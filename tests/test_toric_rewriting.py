@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plucker.graph_core import connected_component_partition
 from plucker.toric_rewriting import (
     CatWeighting,
     balance,
@@ -211,6 +212,17 @@ def test_quadratic_neighbors_match_brute_force_r3():
         assert quadratic_neighbors(tup, pool) == brute
 
 
+def _quadratic_components(tups, pool) -> dict:
+    """Tuple -> the index of its component under quadratic moves within ``tups``,
+    by the graph layer's union-find on the labels 1..len(tups)."""
+    label = {t: i for i, t in enumerate(tups, 1)}
+    moves = [(label[t], label[nb]) for t in tups
+             for nb in quadratic_neighbors(t, pool) if nb in label]
+    blocks, _ = connected_component_partition(len(tups), moves)
+    block_of = {v: i for i, block in enumerate(blocks) for v in block}
+    return {t: block_of[i] for t, i in label.items()}
+
+
 def test_type_separates_quadratic_components_r4():
     """Exhaustive r=4 refinement of the type-invariance claim.
 
@@ -227,29 +239,15 @@ def test_type_separates_quadratic_components_r4():
         by_sum[sum_weighting(t)].append(t)
     split = 0
     for tups in by_sum.values():
-        index = {t: i for i, t in enumerate(tups)}
-        parent = list(range(len(tups)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for t in tups:
-            for nb in quadratic_neighbors(t, pool):
-                if nb in index:
-                    ra, rb = find(index[t]), find(index[nb])
-                    if ra != rb:
-                        parent[ra] = rb
-        roots = {find(i) for i in range(len(tups))}
+        component = _quadratic_components(tups, pool)
+        roots = set(component.values())
         if len(roots) == 1:
             continue
         split += 1
         type_to_root = {}
         for t in tups:
             tv = type_vector(t)
-            root = find(index[t])
+            root = component[t]
             assert type_to_root.setdefault(tv, root) == root
         assert len({type_to_root[tv] for tv in type_to_root}) == len(roots)
     assert split == 16
@@ -281,23 +279,9 @@ def test_type_is_complete_on_third_caterpillar():
     for tup in itertools.product(pool, repeat=3):
         by_sum[sum_weighting(tup)].append(tup)
     for tups in by_sum.values():
-        index = {t: i for i, t in enumerate(tups)}
-        parent = list(range(len(tups)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for t in tups:
-            for nb in quadratic_neighbors(t, pool):
-                if nb in index:
-                    ra, rb = find(index[t]), find(index[nb])
-                    if ra != rb:
-                        parent[ra] = rb
+        component = _quadratic_components(tups, pool)
         for s, t in itertools.combinations(tups, 2):
-            connected = find(index[s]) == find(index[t])
+            connected = component[s] == component[t]
             assert connected == (type_vector(s) == type_vector(t))
 
 

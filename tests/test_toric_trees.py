@@ -19,7 +19,15 @@ from plucker.toric_trees import (
     toric_plucker_applicable,
     weighting_of_graph,
 )
-from support import enumerate_recursively, leaf_edge_weight, role_edges, truncate, untruncate
+from support import (
+    enumerate_recursively,
+    leaf_edge_weight,
+    leaf_path_by_search,
+    preorder_by_stack,
+    role_edges,
+    truncate,
+    untruncate,
+)
 
 
 def add_weightings(a, b):
@@ -34,7 +42,7 @@ def test_build_shapes():
     assert y3.num_vertices - y3.num_leaves == 4  # internal vertices
     assert build_y_tree(5).num_leaves == 10
     c3 = build_caterpillar(3)
-    assert len(c3.trinodes()) == 1 and len(c3.edges) == 3
+    assert len(c3.trinodes) == 1 and len(c3.edges) == 3
     with pytest.raises(ValueError):
         build_y_tree(2)
     with pytest.raises(ValueError):
@@ -290,6 +298,55 @@ def test_enumeration_order_matches_the_nested_generators():
             got = list(enumerate_admissible_regular(tree, d))
             assert got == list(enumerate_recursively(tree, d))
             assert len(got) == count_admissible_regular(tree, d)
+
+
+_WALKED_TREES = [build_y_tree(r) for r in range(3, 9)] + \
+    [build_caterpillar(r) for r in range(3, 9)] + [_two_sided_tree()]
+
+
+def test_leaf_path_climbs_to_the_searched_geodesic():
+    # the parent-pointer climb agrees with a breadth-first search on every
+    # ordered leaf pair, a leaf with itself included
+    for tree in _WALKED_TREES:
+        for a, b in itertools.product(tree.leaves(), repeat=2):
+            assert tree.leaf_path(a, b) == leaf_path_by_search(tree, a, b), (a, b)
+
+
+def test_preorder_is_the_stack_walk_from_the_lowest_leaf():
+    for tree in _WALKED_TREES:
+        assert tree.preorder == preorder_by_stack(tree)
+        assert sorted(tree.trinodes) == [v for v in range(tree.num_vertices)
+                                         if len(tree.adj[v]) == 3]
+        for v, above in tree.parent.items():
+            assert (above is None) == (tree.depth[v] == 0)
+            if above is not None:
+                idx, u = above
+                assert set(tree.edges[idx]) == {u, v} and tree.depth[u] == tree.depth[v] - 1
+
+
+_STAR = [(0, 1), (1, 2), (1, 3)]
+
+
+@pytest.mark.parametrize("num_vertices, edges, leaves, message", [
+    (3, [(0, 1), (1, 2)], {1: 0, 2: 2}, "vertex 1 has valence 2, not 1 or 3"),
+    (4, _STAR, {1: 0, 2: 2}, "vertex 3 is a leaf without a label"),
+    (4, _STAR, {1: 0, 2: 2, 3: 3, 4: 1}, "vertex 1 is a trinode with a label"),
+    (6, [(0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (3, 5)], {1: 0, 2: 4, 3: 5},
+     "vertex 3 is reached twice: the edges have a cycle"),
+    (6, _STAR + [(4, 5)], {1: 0, 2: 2, 3: 3, 4: 4, 5: 5}, "2 vertices are never reached"),
+    (2, [(0, 5)], {1: 0, 2: 5}, "edge (0, 5) is off the vertices 0..1"),
+    (2, [(0, 1)], {}, "a tree needs a labelled leaf"),
+    (2, [(0, 1)], {1: 0, 2: 0, 3: 1}, "the labels must be on the leaves, one each"),
+    (2, [(0, 1)], {1: 0, 2: 1, 3: 7}, "the labels must be on the leaves, one each"),
+    (2, [(0, 1)], {1: 7, 2: 0, 3: 1}, "vertex 7 has valence 0, not 1 or 3"),
+], ids=["valence 2", "unlabelled leaf", "labelled trinode", "cycle", "two components",
+        "edge off the vertices", "no labels", "two labels on a leaf", "label off the vertices",
+        "lowest label off the vertices"])
+def test_the_walk_refuses_what_is_not_a_labelled_trivalent_tree(
+        num_vertices, edges, leaves, message):
+    with pytest.raises(ValueError) as info:
+        TrivalentTree(num_vertices, edges, leaves)
+    assert str(info.value) == message
 
 
 def _every_count_table(tree, d):
