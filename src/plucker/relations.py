@@ -237,40 +237,14 @@ def outer_product(a: SymElement, b: SymElement) -> SymElement:
     return SymElement.from_terms(a.n + b.n, a.degree, items)
 
 
-def append_matching(e: SymElement, m: GraphKey) -> SymElement:
-    """Multiply by the degree-one generator of a matching (as a Y-monomial)."""
-    key = matching_key(m)
-    return SymElement.from_terms(
-        e.n, e.degree + 1,
-        [(mono + (key,), c) for mono, c in e.terms.items()])
-
-
 # --- Kempe factorization ------------------------------------------------------
 
-def plucker_rewrite(edges: GraphKey, i: int, j: int):
-    """X_ab X_cd = X_ad X_cb + X_ac X_bd on any edge pair, re-canonicalized.
-
-    Returns up to two (graph, sign) children; loop children are dropped.
-    """
-    rest = edges[:i] + edges[i + 1:j] + edges[j + 1:]
-    a, b = edges[i]
-    c, d = edges[j]
-    out = []
-    for pair in (((a, d), (c, b)), ((a, c), (b, d))):
-        cf = canonicalize(rest + pair)
-        if cf.sign:
-            out.append((cf.graph, cf.sign))
-    return out
-
-
 def _find_perfect_matching(left, edges) -> list[Edge] | None:
-    """Perfect matching in a bipartite multigraph by augmenting paths."""
+    """Perfect matching in a bipartite multigraph by augmenting paths; each edge
+    has its end in ``left`` first."""
     adj: dict[int, list[int]] = {u: [] for u in left}
     for a, b in edges:
-        if a in adj:
-            adj[a].append(b)
-        else:
-            adj[b].append(a)
+        adj[a].append(b)
     match_r: dict[int, int] = {}
 
     def augment(u, seen):
@@ -308,32 +282,25 @@ def _peel_matchings(n: int, key: GraphKey, d: int) -> list[GraphKey]:
 def _cycle_peel_two_regular(n: int, key: GraphKey):
     """Split a 2-regular graph into two matchings by alternating its cycles.
 
-    Returns None when some cycle is odd.  Deterministic: in each cycle the
-    edge from the smallest vertex toward its smallest neighbor opens layer 1.
+    Returns None when some cycle is odd.  Deterministic: each cycle is walked
+    from its smallest vertex, and each step takes the first unused edge at the
+    vertex reached, which opens layer 1 at the start.
     """
-    slots: dict[int, list[tuple[int, int]]] = {}
+    at: dict[int, list[int]] = {}
     for idx, (a, b) in enumerate(key):
-        slots.setdefault(a, []).append((idx, b))
-        slots.setdefault(b, []).append((idx, a))
-    used = [False] * len(key)
+        at.setdefault(a, []).append(idx)
+        at.setdefault(b, []).append(idx)
+    used: set[int] = set()
     layers: tuple[list, list] = ([], [])
-    for start in sorted(slots):
-        begin = [(idx, w) for idx, w in sorted(slots[start]) if not used[idx]]
-        if not begin:
-            continue
-        idx, nxt = begin[0]
+    for cur in sorted(at):
         parity = 0
-        cur = start
-        while True:
-            used[idx] = True
-            layers[parity].append((min(cur, nxt), max(cur, nxt)))
+        while (idx := next((i for i in at[cur] if i not in used), None)) is not None:
+            used.add(idx)
+            layers[parity].append(key[idx])
             parity ^= 1
-            cur = nxt
-            options = [(i2, w2) for i2, w2 in sorted(slots[cur]) if not used[i2]]
-            if not options:
-                break
-            idx, nxt = options[0]
-        if parity != 0:
+            a, b = key[idx]
+            cur = b if cur == a else a
+        if parity:
             return None  # odd cycle
     return tuple(sorted(layers[0])), tuple(sorted(layers[1]))
 
@@ -345,10 +312,12 @@ def kempe_factor(n: int, edges):
 
     A matching maps to itself and a 2-regular union of even cycles peels
     directly by alternation; otherwise the +/- split is fixed (positives
-    1..n/2, negatives n/2+1..n), positive edges are Pluckered against
-    negative ones until everything is neutral, and each bipartite term is
-    factored into matchings via Hall's theorem.  The image in the ring always
-    straightens to the same expansion as X of the input.
+    1..n/2, negatives n/2+1..n), and the first positive edge ab is Pluckered
+    against the first negative edge ce, X_ab X_ce = X_ac X_be - X_ae X_bc,
+    until everything is neutral; each bipartite term is factored into matchings
+    via Hall's theorem.  Each step trades one positive edge, so p of them give
+    at most 2^(p+1) graphs, refused over ``WORK_BUDGET`` before any step.  The
+    image in the ring always straightens to the same expansion as X of the input.
     """
     if n % 2:
         raise ValueError(f"no perfect matchings of 1..{n}: n is odd")
@@ -369,19 +338,24 @@ def kempe_factor(n: int, edges):
             sign = cf.sign * _y_product(peeled)[0]
             return SymElement.from_terms(n, 2, [(peeled, Fraction(sign))])
     half = n // 2
+    # a canonical edge (a, b) has a < b: positive iff b <= n/2, negative iff a > n/2,
+    # so positive edges sort before negative ones, and the new edges are canonical
+    positive = sum(1 for _, b in cf.graph if b <= half)
+    check_work(f"the Kempe lift at n={n}", 2 ** (positive + 1) * len(cf.graph))
     work: dict[GraphKey, int] = {cf.graph: cf.sign}
     done: dict[GraphKey, int] = {}
     while work:
         key, coeff = work.popitem()
-        # a canonical edge (a, b) has a < b: positive iff b <= n/2, negative iff a > n/2
-        pos = [i for i, (_, b) in enumerate(key) if b <= half]
-        neg = [i for i, (a, _) in enumerate(key) if a > half]
-        if not pos:
-            assert not neg
+        i = next((i for i, (_, b) in enumerate(key) if b <= half), None)
+        if i is None:
+            assert all(a <= half for a, _ in key), "a negative edge with no positive one"
             done[key] = done.get(key, 0) + coeff
             continue
-        i, j = min(pos[0], neg[0]), max(pos[0], neg[0])
-        for child, sign in plucker_rewrite(key, i, j):
+        j = next(j for j, (c, _) in enumerate(key) if c > half)
+        (a, b), (c, e) = key[i], key[j]
+        rest = key[:i] + key[i + 1:j] + key[j + 1:]
+        for pair, sign in ((((a, e), (b, c)), -1), (((a, c), (b, e)), 1)):
+            child = tuple(sorted(rest + pair))
             work[child] = work.get(child, 0) + coeff * sign
     terms = []
     for key, coeff in done.items():
@@ -594,11 +568,12 @@ class GenSegreDatum:
 
 
 def _kempe_lift(n: int, purple, black) -> SymElement:
-    """A lift of X of purple + black: Kempe-factor the purple graph, append the
-    black matching and scale by the black matching's orientation sign."""
+    """A lift of X of purple + black: Kempe-factor the purple graph and append
+    the black matching, with the black matching's orientation sign."""
     black = matching_key(black)
-    return append_matching(kempe_factor(n, canonicalize(purple).graph), black) \
-        .scale(orientation_sign(black))
+    sign, lift = orientation_sign(black), kempe_factor(n, canonicalize(purple).graph)
+    return SymElement.from_terms(n, lift.degree + 1,
+                                 [(mono + (black,), c * sign) for mono, c in lift.terms.items()])
 
 
 def generalized_segre(s: GenSegreDatum) -> SymElement:

@@ -186,7 +186,8 @@ def class_size(mu: PartitionT) -> int:
 @lru_cache(maxsize=None)
 def mn_character(lam: PartitionT, mu: PartitionT) -> int:
     """Murnaghan-Nakayama by border-strip removal on beta-numbers."""
-    assert sum(lam) == sum(mu)
+    if sum(lam) != sum(mu):
+        raise ValueError(f"mn_character needs partitions of one n, got {lam} and {mu}")
     if not lam:
         return 1
     k = mu[0]

@@ -16,9 +16,11 @@ from plucker.cli import (
     EXIT_OK,
     EXIT_PARSE,
     ROUND_TRIP_WEIGHTINGS,
+    _tree_dp_updates,
     main,
 )
 from plucker.invariant_ring import hilbert_dim
+from plucker.toric_trees import _completion_counts, build_y_tree
 
 # The JSON contract of the CLI: every --json payload names its command, and
 # `report --json` has this shape.
@@ -82,6 +84,16 @@ _DEEP = '{"n":' + "[" * 5000
 def _rainbow(r):
     """Graph text of the matching {i, 2r + 1 - i} on the 2r leaves of the r-th Y-tree."""
     return f"n={2 * r}; edges=" + ",".join(f"{i}-{2 * r + 1 - i}" for i in range(1, r + 1))
+
+
+def _square_rotation(n):
+    """Square-rotation datum JSON on U = 1..4: purple paths 1-5-6-2 and 3-7-8-4,
+    the triangle 9-10-11 and the cycle 12..n, black {5,6}, {7,8}, ..., {n-1,n}."""
+    cycle = list(range(12, n + 1))
+    purple = [[1, 5], [5, 6], [6, 2], [3, 7], [7, 8], [8, 4], [9, 10], [10, 11], [9, 11]]
+    purple += [[v, cycle[(i + 1) % len(cycle)]] for i, v in enumerate(cycle)]
+    return json.dumps({"n": n, "U": [1, 2, 3, 4], "purple": purple,
+                       "black": [[v, v + 1] for v in range(5, n, 2)]})
 
 
 # a loop in each kind of relation datum's edge layers
@@ -250,6 +262,8 @@ BAD_USER_INPUTS = [
     # unreadable JSON and coefficients, loops in relation data, greedy walks
     # over the limit: each is named
     *(argv for argv, _ in _UNREADABLE),
+    # a Kempe rewrite tree of up to 2^16 graphs, refused before it is built
+    ("relation", "construct", "square-rotation", "--data", _square_rotation(32)),
 ]
 
 # Bad values that no command can build, passed to the library directly; each
@@ -279,6 +293,8 @@ BAD_DIRECT_CALLS = [
     "TrivalentTree(3, [(0, 1), (1, 2)], {1: 0, 2: 2})",
     "TrivalentTree(4, [(0, 1), (1, 2), (1, 3)], {1: 0, 2: 2})",
     "TrivalentTree(6, [(0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (3, 5)], {1: 0, 2: 4, 3: 5})",
+    # partitions of different n: 0 with asserts stripped
+    "mn_character((1,), (2,))",
 ]
 
 # Runs each argv of BAD_USER_INPUTS (the "argv" list of the JSON on stdin)
@@ -290,6 +306,7 @@ import contextlib, io, json, sys, traceback
 from plucker.cli import main
 from plucker.invariant_ring import PointConfig, RingElement
 from plucker.relations import SymElement
+from plucker.symmetry_rep import mn_character
 from plucker.toric_trees import (
     TreeWeighting, TrivalentTree, build_y_tree, toric_plucker_applicable)
 from plucker.toric_rewriting import (
@@ -579,6 +596,27 @@ def test_refusals_name_the_estimate_and_the_limit(capsys):
     assert run(capsys, "toric", "greedy", "--r", "100000000", "--graph", "n=4; edges=1-2") == (
         EXIT_PARSE, "", "error: the Y-tree at r=100000000 needs 399999998 units of work, "
         "over the budget of 250000\n")
+
+
+def test_kempe_lift_refuses_its_rewrite_tree_over_the_budget(capsys):
+    # p positive edges give at most 2^(p+1) graphs of n edges: p = 13 at n = 28
+    for n, units in ((28, 458_752), (32, 2_097_152)):
+        for action in ("construct", "verify"):
+            argv = ("relation", action, "square-rotation", "--data", _square_rotation(n))
+            assert run(capsys, *argv) == (EXIT_PARSE, "", (
+                f"error: the Kempe lift at n={n} needs {units} units of work, "
+                "over the budget of 250000\n"))
+
+
+def test_tree_dp_updates_count_the_dp_inner_loop():
+    # a trinode adds min(w1, w2) + 1 coefficients for each pair of child weights
+    for r in range(3, 13):
+        tree = build_y_tree(r)
+        for d in range(9):
+            table, _, trinodes = _completion_counts(tree, d)
+            made = sum(min(w1, w2) + 1 for _, e1, e2 in trinodes
+                       for w1 in table[e1] for w2 in table[e2])
+            assert _tree_dp_updates(r, d) == made, (r, d)
 
 
 def test_fixed_relations_refuse_data(capsys):

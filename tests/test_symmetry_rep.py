@@ -94,8 +94,15 @@ def test_mn_character_examples():
         parity = (-1) ** (4 - len(mu))
         assert mn_character((1, 1, 1, 1), mu) == parity
     assert mn_character((2, 2), (1, 1, 1, 1)) == 2
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match=r"partitions of one n, got \(2, 1\) and \(4,\)"):
         mn_character((2, 1), (4,))
+
+
+def test_mn_character_refuses_partitions_of_different_n():
+    # with asserts stripped these returned 0 and 1 and raised an IndexError
+    for lam, mu in (((1,), (2,)), ((2,), (1, 1, 1)), ((3,), (1,))):
+        with pytest.raises(ValueError, match="mn_character needs partitions of one n"):
+            mn_character(lam, mu)
 
 
 def test_hook_length_examples():
