@@ -17,6 +17,7 @@ import time
 
 from . import reports, symmetry_rep, toric_rewriting, toric_trees
 from .graph_core import (
+    check_work,
     graph_to_json,
     json_edges,
     json_int,
@@ -42,7 +43,6 @@ from .relations import (
     GenSegreDatum,
     SquareRotationDatum,
     SymElement,
-    check_work,
     evaluate_sym,
     ideal_component_dim,
     project_to_ring,

@@ -15,7 +15,9 @@ intermediate graph that a second call reaches are memoized in a process-wide
 in-process dict keyed by the canonical graph alone: the expansion of a graph
 does not depend on n, which only names the label set.  Other intermediates
 are dropped when their call returns.  Rewrites take new edges from one shared
-table, so memo keys share edge tuples.
+table, so memo keys share edge tuples.  A call counts its rewrites against
+``graph_core.WORK_BUDGET``, two graphs of the call's edge count each, and
+raises ``ValueError`` past it.
 ``degree_trace`` gives the dimensions and characters of the graded pieces
 without building them.
 
@@ -33,9 +35,11 @@ from math import lcm
 
 from .exact_linalg import exact
 from .graph_core import (
+    WORK_BUDGET,
     GraphKey,
     canonicalize,
     check_labels,
+    check_work,
     json_coeff,
     json_edges,
     json_int,
@@ -136,6 +140,10 @@ def straighten_graph(n: int, key: GraphKey) -> dict[GraphKey, int]:
     per-call dict.  Termination holds because a Plucker step strictly
     decreases the total Euclidean chord length of every branch, but a fuel
     counter guards against implementation bugs.
+
+    A rewrite builds two graphs of ``len(key)`` edges, 2 len(key) units of
+    ``WORK_BUDGET``: a call past the budget raises ``ValueError`` with n and
+    the rewrites done, which ``stats()`` still counts.
     """
     cache = GLOBAL_CACHE
     memo = cache.memo
@@ -146,6 +154,8 @@ def straighten_graph(n: int, key: GraphKey) -> dict[GraphKey, int]:
     seen, shared = cache.seen, cache.edges
     local: dict[GraphKey, dict[GraphKey, int]] = {}
     rewrites = 0
+    units = 2 * len(key)
+    bound = min(STRAIGHTEN_FUEL, WORK_BUDGET // max(units, 1) + 1)
     stack: list = [key]  # a graph to expand, or a frame [g, g1, g2] to sum
     while stack:
         top = stack.pop()
@@ -168,9 +178,12 @@ def straighten_graph(n: int, key: GraphKey) -> dict[GraphKey, int]:
             memo[top] = {top: 1}
             continue
         rewrites += 1
-        if rewrites >= STRAIGHTEN_FUEL:
-            raise FuelExhausted(
-                f"straightening exceeded {STRAIGHTEN_FUEL} rewrites on n={n}")
+        if rewrites >= bound:
+            if rewrites >= STRAIGHTEN_FUEL:
+                raise FuelExhausted(
+                    f"straightening exceeded {STRAIGHTEN_FUEL} rewrites on n={n}")
+            cache.rewrites += rewrites - 1
+            check_work(f"straightening at n={n} after {rewrites - 1} rewrites", units * rewrites)
         g1, g2 = _plucker_children(top, *found, shared)
         stack += ([top, g1, g2], g1, g2)
     seen.update(map(hash, local))

@@ -36,6 +36,7 @@ from .graph_core import (
     canonicalize,
     catalan,
     check_labels,
+    check_work,
     connected_component_partition,
     enumerate_noncrossing_regular,
     is_regular,
@@ -641,18 +642,6 @@ def square_rotation(p: SquareRotationDatum) -> SymElement:
 
 
 # --- ideal components, spans, dimensions ---------------------------------------
-
-# One unit is one edge of a graph the work builds or one cell of a span it
-# grows; each took 3.6-11 us near this many (2-vCPU VM, Python 3.11.7).
-WORK_BUDGET = 250_000
-
-
-def check_work(what: str, units: int) -> int:
-    """``units``, or ``ValueError`` with the estimate when over ``WORK_BUDGET``."""
-    if units > WORK_BUDGET:
-        raise ValueError(f"{what} needs {units} units of work, over the budget of {WORK_BUDGET}")
-    return units
-
 
 def sym_work(n: int, k: int) -> int:
     """Units to build Sym^k at n, or ``ValueError`` over ``WORK_BUDGET``: kn/2 edges

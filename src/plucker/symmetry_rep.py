@@ -40,11 +40,10 @@ from functools import lru_cache
 from math import comb, factorial
 
 from . import exact_linalg
-from .graph_core import canonicalize, enumerate_matchings, perm_sign_of_map
+from .graph_core import canonicalize, check_work, enumerate_matchings, perm_sign_of_map
 from .invariant_ring import RingElement, degree_trace
 from .relations import (
     SymElement,
-    check_work,
     component_partition_of_monomial,
     coords_vector,
     ideal_component_dim,

@@ -95,8 +95,9 @@ def _one_r(tup, what: str) -> int:
     if not tup:
         raise ValueError(f"{what} needs a non-empty tuple")
     r = tup[0].r
-    if any(entry.r != r for entry in tup):
-        raise ValueError(f"{what} needs weightings on one caterpillar, got different r")
+    for entry in tup:
+        if entry.r != r:
+            raise ValueError(f"{what} needs weightings on one caterpillar, got different r")
     return r
 
 
@@ -343,13 +344,14 @@ def normal_form(tup):
     r >= 4: at r = 3 unbreakability is vacuous and the dealt form may not fit.
 
     The table of reduced matchings is the validation: each entry must be an
-    unbreakable matching in ``reduced_matching``, and each dealt output is
-    taken from it (``ValueError`` if it is not there), so the outputs are
-    the table's own instances.
+    unbreakable matching in ``reduced_matching``, checked on every call.  The
+    form is then looked up by the raw column sums in ``_dealt_form``, which
+    deals it once per (stalks, bases, length): every call with those sums
+    gets the same tuple of the table's own instances.  A ``ValueError`` is
+    raised on every call that meets it and never stored.
     """
     tup = tuple(tup)
     r = _one_r(tup, "normal_form")
-    n = len(tup)
     if r < 4:
         raise ValueError(f"normal_form needs r >= 4, got r = {r}")
     for entry in tup:
@@ -358,20 +360,33 @@ def normal_form(tup):
             raise ValueError("entries must be reduced matchings")
         if not known.is_unbreakable():
             raise ValueError("normal_form requires unbreakable entries")
-    total = sum_weighting(tup)
+    stalks = tuple(map(sum, zip(*[entry.stalks for entry in tup])))
+    bases = tuple(map(sum, zip(*[entry.bases for entry in tup])))
+    return _dealt_form(stalks, bases, len(tup))
+
+
+@lru_cache(maxsize=None)
+def _dealt_form(stalks: tuple[int, ...], bases: tuple[int, ...], n: int):
+    """The normal form of n unbreakable entries with these column sums.
+
+    Dealt and checked once per key, the first time it is met; the same tuple
+    is returned from then on.  ``ValueError`` when a dealt entry is not an
+    unbreakable matching of the table (the cache stores no error).
+    """
+    r = len(stalks)
 
     def deal(sum_value: int) -> list[int]:
         k, rem = divmod(sum_value, n)
         return [k] * (n - rem) + [k + 1] * rem
 
-    spine_cols = [deal(value) for value in total.spine]
+    spine_cols = [deal(value) for value in (stalks[0],) + bases + (stalks[-1],)]
     for col in (spine_cols[0], spine_cols[-1]):
         assert max(col) <= 1, "end stalk sum exceeds the matching bound"
 
     middle_cols = []
     for v in range(2, r):
         left, right = spine_cols[v - 2], spine_cols[v - 1]
-        budget = total.stalks[v - 1]
+        budget = stalks[v - 1]
         values = [0] * n
         free = []
         for i in range(n):
@@ -388,14 +403,15 @@ def normal_form(tup):
 
     stalk_cols = [spine_cols[0], *middle_cols, spine_cols[-1]]
     out = []
-    for stalks, bases in zip(zip(*stalk_cols), zip(*spine_cols[1:-1])):
-        entry = reduced_matching(stalks, bases)
+    for entry_stalks, entry_bases in zip(zip(*stalk_cols), zip(*spine_cols[1:-1])):
+        entry = reduced_matching(entry_stalks, entry_bases)
         if entry is None or not entry.is_unbreakable():
-            raise ValueError(f"dealt stalks {stalks} and bases {bases} "
+            raise ValueError(f"dealt stalks {entry_stalks} and bases {entry_bases} "
                              "make no unbreakable reduced matching")
         out.append(entry)
     result = tuple(out)
-    assert sum_weighting(result) == total
+    total = sum_weighting(result)
+    assert (total.stalks, total.bases) == (stalks, bases)
     assert is_balanced(result)
     return result
 

@@ -96,6 +96,11 @@ def _square_rotation(n):
                        "black": [[v, v + 1] for v in range(5, n, 2)]})
 
 
+def _fully_crossing(m):
+    """Graph text of the matching {i, i + m} on 2m points, every pair crossing."""
+    return f"n={2 * m}; edges=" + ",".join(f"{i}-{i + m}" for i in range(1, m + 1))
+
+
 # a loop in each kind of relation datum's edge layers
 _LOOP_DATA = [
     ("square-rotation", {"n": 8, "U": [1, 2, 3, 4], "purple": [[1, 5], [5, 6], [2, 6], [3, 7],
@@ -144,6 +149,16 @@ _UNREADABLE = [
      "error: the greedy walk at r=2237 needs 10008338 leaf scans, over the limit of 10000000"),
 ] + [(("relation", "verify", kind, "--data", json.dumps(data)), f"error: {message}")
      for kind, data, message in _LOOP_DATA]
+
+# inputs whose straightening is refused once it passes the work budget
+_STRAIGHTENING_OVER_BUDGET = [
+    (("relation", "verify", "square-rotation", "--data", _square_rotation(14)),
+     "error: straightening at n=14 after 5952 rewrites needs 250026 units of work, "
+     "over the budget of 250000"),
+    (("straighten", _fully_crossing(11)),
+     "error: straightening at n=22 after 11363 rewrites needs 250008 units of work, "
+     "over the budget of 250000"),
+]
 
 # User inputs that once passed silently, failed with an assert (no message,
 # or none at all under python -O) or raised deep in the library.
@@ -264,6 +279,8 @@ BAD_USER_INPUTS = [
     *(argv for argv, _ in _UNREADABLE),
     # a Kempe rewrite tree of up to 2^16 graphs, refused before it is built
     ("relation", "construct", "square-rotation", "--data", _square_rotation(32)),
+    # straightening past the work budget, which took over 60 s, and 8.5 s and 849 MB
+    *(argv for argv, _ in _STRAIGHTENING_OVER_BUDGET),
 ]
 
 # Bad values that no command can build, passed to the library directly; each
@@ -606,6 +623,18 @@ def test_kempe_lift_refuses_its_rewrite_tree_over_the_budget(capsys):
             assert run(capsys, *argv) == (EXIT_PARSE, "", (
                 f"error: the Kempe lift at n={n} needs {units} units of work, "
                 "over the budget of 250000\n"))
+
+
+def test_straightening_over_the_budget_exits_2_with_the_count(capsys):
+    import plucker.invariant_ring as ir
+
+    # the rewrites a call makes depend on what the memo holds: count from empty
+    try:
+        for argv, message in _STRAIGHTENING_OVER_BUDGET:
+            ir.GLOBAL_CACHE.clear()
+            assert run(capsys, *argv) == (EXIT_PARSE, "", message + "\n")
+    finally:
+        ir.GLOBAL_CACHE.clear()
 
 
 def test_tree_dp_updates_count_the_dp_inner_loop():

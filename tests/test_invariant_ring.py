@@ -398,6 +398,26 @@ def test_fuel_exhaustion_signals_internal_error(monkeypatch):
         straighten_graph(6, ((1, 3), (2, 4), (2, 5), (4, 6)))
 
 
+def test_straightening_refuses_rewrites_over_the_work_budget():
+    # a rewrite builds two graphs of the call's edge count: the fully crossing
+    # matching {i, i + m} has 2m units a rewrite, and its rewrites grow about
+    # 4.5-fold with m (19,150 at m = 9, 423,330 at m = 11)
+    cache = ir.GLOBAL_CACHE
+    try:
+        for m, allowed in ((9, 13_888), (11, 11_363)):
+            cache.clear()
+            with pytest.raises(ValueError, match=(
+                    f"^straightening at n={2 * m} after {allowed} rewrites needs "
+                    f"{2 * m * (allowed + 1)} units of work, over the budget of 250000$")):
+                straighten_graph(2 * m, tuple((i, i + m) for i in range(1, m + 1)))
+            assert cache.stats()["rewrites"] == allowed
+        cache.clear()
+        straighten_graph(16, tuple((i, i + 8) for i in range(1, 9)))
+        assert cache.stats()["rewrites"] == 4239
+    finally:
+        cache.clear()
+
+
 def test_concurrent_straightening_shares_cache():
     keys = list(enumerate_matchings(8))[:40]
 

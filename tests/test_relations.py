@@ -15,11 +15,10 @@ from plucker.figures import (
     genseg6_datum,
     square_rotation_even_datum,
 )
-from plucker.graph_core import catalan, enumerate_matchings, noncrossing_matchings
+from plucker.graph_core import WORK_BUDGET, catalan, enumerate_matchings, noncrossing_matchings
 from plucker.cli import main
 from plucker.invariant_ring import straighten, x_of
 from plucker.relations import (
-    WORK_BUDGET,
     BinomialQuadDatum,
     GenSegreDatum,
     SquareRotationDatum,

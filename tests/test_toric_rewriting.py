@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from plucker.graph_core import connected_component_partition
 from plucker.toric_rewriting import (
     CatWeighting,
+    _dealt_form,
     balance,
     balance_triples,
     enumerate_reduced_matchings,
@@ -413,3 +414,27 @@ def test_normal_form_refuses_entries_outside_the_table():
             (CatWeighting(5, (1, 1, 1, 1, 1), (1, 1)), "different r")):
         with pytest.raises(ValueError, match=message):
             normal_form((good, bad))
+
+
+def test_one_sum_gets_one_normal_form_tuple():
+    # the form is dealt once per column sum: a tuple, a permutation of it and
+    # its normal form get the same tuple
+    rng = random.Random(5)
+    for r in range(4, 9):
+        for _ in range(20):
+            tup = tuple(rng.choice(_UNBREAKABLE[r]) for _ in range(rng.randint(1, 5)))
+            nf = normal_form(tup)
+            assert normal_form(tup[::-1]) is nf
+            assert normal_form(nf) is nf
+
+
+def test_refusals_repeat_and_are_not_stored():
+    good = CatWeighting(4, (1, 1, 1, 1), (1,))
+    stored = _dealt_form.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match="reduced matchings"):
+            normal_form((good, CatWeighting(4, (1, 2, 1, 1), (1,))))
+        # a base sum of 0 deals a breakable entry: no unbreakable tuple has it
+        with pytest.raises(ValueError, match="make no unbreakable reduced matching"):
+            _dealt_form((1, 1, 1, 1), (0,), 1)
+    assert _dealt_form.cache_info().currsize == stored
